@@ -40,7 +40,6 @@ def _soak_once(
     clients: int,
     fetches: int,
     count: int,
-    workers: int,
 ) -> dict:
     """One timed soak; returns wall time and throughput.
 
@@ -49,7 +48,6 @@ def _soak_once(
     """
     config = ServeConfig(
         master_seed=2026,
-        workers=workers,
         max_global_queue=max(256, clients * 2),
         max_session_queue=16,
         sentinel=sentinel,
@@ -108,21 +106,19 @@ def run_overhead(
     clients: int = 16,
     fetches: int = 8,
     count: int = 4096,
-    workers: int = 4,
     repeats: int = 3,
 ) -> dict:
     """Interleaved off/on soaks; overhead from each side's best run."""
     best = {False: 0.0, True: 0.0}
     for _ in range(repeats):
         for sentinel in (False, True):
-            result = _soak_once(sentinel, clients, fetches, count, workers)
+            result = _soak_once(sentinel, clients, fetches, count)
             best[sentinel] = max(best[sentinel], result["numbers_per_s"])
     overhead_pct = 100.0 * (1.0 - best[True] / best[False])
     return {
         "clients": clients,
         "fetches_per_client": fetches,
         "count_per_fetch": count,
-        "workers": workers,
         "repeats": repeats,
         "total_numbers_per_run": clients * fetches * count,
         "numbers_per_s_off": round(best[False], 1),
@@ -161,8 +157,6 @@ def main(argv=None) -> int:
                         help="fetches per client")
     parser.add_argument("--count", type=int, default=4096,
                         help="numbers per fetch")
-    parser.add_argument("--workers", type=int, default=4,
-                        help="server worker threads")
     parser.add_argument("--repeats", type=int, default=3,
                         help="interleaved repeats per configuration")
     parser.add_argument("--max-overhead-pct", type=float, default=5.0,
@@ -171,7 +165,7 @@ def main(argv=None) -> int:
     try:
         report = run_overhead(
             clients=args.clients, fetches=args.fetches, count=args.count,
-            workers=args.workers, repeats=args.repeats,
+            repeats=args.repeats,
         )
     except RuntimeError as exc:
         print(f"OVERHEAD BENCH FAILED: {exc}", file=sys.stderr)

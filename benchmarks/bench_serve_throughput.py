@@ -105,7 +105,6 @@ def run_soak(
     clients: int = 100,
     fetches: int = 5,
     count: int = 256,
-    workers: int = 4,
     join_timeout_s: float = 240.0,
 ) -> dict:
     """Drive ``clients`` concurrent sessions; return the measured report.
@@ -115,7 +114,6 @@ def run_soak(
     """
     config = ServeConfig(
         master_seed=2026,
-        workers=workers,
         max_global_queue=max(256, clients * 2),
         max_session_queue=16,
         max_batch=max(64, min(256, clients)),
@@ -166,7 +164,6 @@ def run_soak(
         "clients": clients,
         "fetches_per_client": fetches,
         "count_per_fetch": count,
-        "workers": workers,
         "host_cpu_count": os.cpu_count() or 1,
         "total_numbers": total_numbers,
         "wall_s": round(wall, 4),
@@ -255,8 +252,6 @@ def main(argv=None) -> int:
                         help="fetches per client")
     parser.add_argument("--count", type=int, default=256,
                         help="numbers per fetch")
-    parser.add_argument("--workers", type=int, default=4,
-                        help="server worker threads")
     parser.add_argument("--min-numbers-per-s", type=float, default=0.0,
                         help="throughput gate (0 disables; recorded "
                              "only on <4-core hosts)")
@@ -267,7 +262,7 @@ def main(argv=None) -> int:
     try:
         report = run_soak(
             clients=args.clients, fetches=args.fetches,
-            count=args.count, workers=args.workers,
+            count=args.count,
         )
     except RuntimeError as exc:
         print(f"SOAK FAILED: {exc}", file=sys.stderr)

@@ -39,7 +39,7 @@ def client_main(host, port, name, results):
 def main() -> None:
     # Metrics on, so the serve-side counters/histograms are collected.
     with obs.observed() as (registry, _tracer):
-        config = ServeConfig(master_seed=2012, workers=2)
+        config = ServeConfig(master_seed=2012)
         with serve_background(config) as server:
             print(f"server on {server.host}:{server.port} "
                   f"(master seed {config.master_seed})\n")

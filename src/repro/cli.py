@@ -228,14 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-session token-bucket capacity (numbers)",
     )
     serve.add_argument(
-        "--batch-window-ms", type=float, default=2.0,
-        help="how long to wait for requests to coalesce into a batch",
-    )
-    serve.add_argument(
-        "--workers", type=int, default=2,
-        help="worker threads executing batches",
-    )
-    serve.add_argument(
         "--duration", type=float, default=None,
         help="serve for this many seconds, then exit (default: forever)",
     )
@@ -757,8 +749,6 @@ def _cmd_serve(args) -> int:
         max_global_queue=args.max_global_queue,
         rate=args.rate,
         burst=args.burst,
-        batch_window_s=args.batch_window_ms / 1000.0,
-        workers=args.workers,
         engine_shards=args.engine_shards,
         sentinel=not args.no_sentinel,
         sentinel_sample=args.sentinel_sample,

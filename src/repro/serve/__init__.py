@@ -7,7 +7,7 @@ contract across a network boundary, Shoverand-style: every client
 session gets an **independently seeded, reproducible expander stream**
 (SplitMix64 ``derive_seed`` under the server's master seed, keyed by the
 session id), requests from all sessions are **coalesced into batches**
-on a shared worker pool off the event loop, and overload is **explicit
+on one executor thread off the event loop, and overload is **explicit
 backpressure** (bounded queues, per-session token buckets, ``BUSY``
 responses) instead of unbounded buffering.
 
@@ -17,7 +17,7 @@ Modules
                              debug mode, shared by server and clients;
 :mod:`repro.serve.session`   per-client stream derivation and the
                              supervised feed chain behind each stream;
-:mod:`repro.serve.batching`  request coalescing, the worker pool, and
+:mod:`repro.serve.batching`  request coalescing, the executor thread, and
                              the token-bucket rate limiter;
 :mod:`repro.serve.journal`   the durable append-only session journal
                              behind crash recovery and ``RESUME``;

@@ -1,26 +1,33 @@
 """Request coalescing, cross-session round planning, and backpressure.
 
 The event loop must never generate numbers itself: a ``FETCH`` becomes a
-:class:`BatchRequest` on a **bounded global queue**, a dispatcher
-coroutine coalesces adjacent requests (up to ``max_batch``, waiting at
-most ``window_s`` for stragglers) into one batch, and the batch is
-executed on a shared :class:`~concurrent.futures.ThreadPoolExecutor` --
-the serving analogue of the paper's block size ``S``: many small
-on-demand requests amortize into one off-loop hop, exactly as many
-per-thread numbers amortize one kernel launch.
+:class:`BatchRequest` on a **bounded global queue**, and a dispatcher
+coroutine runs batches on **one** executor thread, one batch at a time.
+Dispatch is work-conserving: the dispatcher takes the first queued
+request plus everything else already queued (up to ``max_batch``), runs
+that batch, and only then takes the next.  There is no coalescing
+timer, so a lone request starts at once, and batches grow with load --
+whatever queued while the previous batch ran -- the serving analogue of
+the paper's block size ``S``: many small on-demand requests amortize
+into one off-loop hop, exactly as many per-thread numbers amortize one
+kernel launch.
 
-Execution is *actually* batched: the worker does not run one engine
+One thread is enough.  Generation holds the GIL, so a second thread
+adds little throughput; it mostly stretches each readahead refill while
+another batch runs, and those refills are the request tail.
+
+Execution is *actually* batched: the executor does not run one engine
 round trip per request.  It locks every session in the batch (one total
-order -- session id -- so concurrent batches cannot deadlock), asks each
-session how many words it needs beyond its readahead buffer
+order -- session id), asks each session how many words it needs beyond
+its readahead buffer
 (:meth:`~repro.serve.session.SessionStream.plan_fill`, raw counts plus
 conservative variate word estimates), fuses every engine-backed
 session's ``(stream, offset, count)`` span into **one**
 :meth:`~repro.engine.sharded.ShardedEngine.fetch_spans` round (a
 handful of capped worker messages), scatters the returned buffers into
 the sessions' readahead buffers, and then serves each request from
-buffer -- raw fetches as zero-copy views handed to the PR 6 framing
-path, variates sampled on scatter through the same word stream.  Word
+buffer -- raw fetches as zero-copy views handed to the framing path,
+variates sampled on scatter through the same word stream.  Word
 estimates are only a prefetch hint: a rejection-sampler overrun falls
 back to a direct fetch at the exact absolute offset, so every served
 byte is identical with coalescing/readahead on or off, and
@@ -30,7 +37,8 @@ Backpressure is explicit everywhere:
 
 * the global queue is bounded -- :meth:`BatchingExecutor.try_submit`
   returns ``None`` (the server answers ``BUSY``) instead of buffering
-  without limit;
+  without limit; requests leave it only when the thread is free, so the
+  bound holds without any further gate;
 * per-session in-flight caps and the :class:`TokenBucket` rate limiter
   are enforced by the server *before* submission;
 * every stage records through :mod:`repro.obs.metrics`
@@ -237,10 +245,15 @@ class BatchRequest:
 
 
 class BatchingExecutor:
-    """Coalesces FETCH requests and runs them on a worker pool.
+    """Runs queued FETCH/VARIATE requests in batches on one thread.
 
     Must be started (and closed) from within a running event loop; the
-    worker threads hand results back with ``loop.call_soon_threadsafe``.
+    executor thread hands results back with ``loop.call_soon_threadsafe``.
+
+    Dispatch is work-conserving: each batch is the first queued request
+    plus whatever else is already queued, up to ``max_batch``, and the
+    next batch is taken only once this one has run.  Batch size is set
+    by load, not by a timer.
 
     Parameters
     ----------
@@ -248,13 +261,7 @@ class BatchingExecutor:
         Global bound on queued-but-unexecuted requests; the overload
         valve.  When full, :meth:`try_submit` returns ``None``.
     max_batch : int
-        Most requests coalesced into one worker-pool hop.
-    window_s : float
-        How long the dispatcher waits for stragglers once a batch has
-        its first request.  ``0`` disables coalescing delay.
-    workers : int
-        Worker threads executing batches (sessions are locked
-        individually, so concurrent batches are safe).
+        Most requests taken into one batch.
     cache_bytes : int
         Budget for the :class:`ResponseCache` over engine span fetches;
         ``0`` (the default) disables caching entirely.
@@ -264,23 +271,16 @@ class BatchingExecutor:
         self,
         max_queue: int = 256,
         max_batch: int = 64,
-        window_s: float = 0.002,
-        workers: int = 2,
         cache_bytes: int = 0,
     ):
         check_positive("max_queue", max_queue)
         check_positive("max_batch", max_batch)
-        check_positive("workers", workers)
-        if window_s < 0:
-            raise ValueError(f"window_s must be >= 0, got {window_s}")
         if cache_bytes < 0:
             raise ValueError(
                 f"cache_bytes must be >= 0, got {cache_bytes}"
             )
         self.max_queue = int(max_queue)
         self.max_batch = int(max_batch)
-        self.window_s = float(window_s)
-        self.workers = int(workers)
         self._cache: Optional[ResponseCache] = (
             ResponseCache(cache_bytes) if cache_bytes else None
         )
@@ -288,7 +288,8 @@ class BatchingExecutor:
         self._pool: Optional[ThreadPoolExecutor] = None
         self._dispatcher: Optional[asyncio.Task] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._slots: Optional[asyncio.Semaphore] = None
+        #: The batch on the executor thread (done once it has run).
+        self._running: Optional["asyncio.Future"] = None
         self._closing = False
 
     # ------------------------------------------------------------------
@@ -299,19 +300,18 @@ class BatchingExecutor:
         self._loop = asyncio.get_running_loop()
         self._queue = asyncio.Queue(maxsize=self.max_queue)
         self._pool = ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix="repro-serve"
+            max_workers=1, thread_name_prefix="repro-serve"
         )
-        # One slot per worker: the dispatcher must not move requests out
-        # of the *bounded* queue into the executor's unbounded internal
-        # queue faster than workers drain them -- that would turn the
-        # global cap into a fiction.  While every worker is busy,
-        # requests stay queued and overflow becomes BUSY.
-        self._slots = asyncio.Semaphore(self.workers)
         self._closing = False
         self._dispatcher = self._loop.create_task(self._dispatch())
 
     async def aclose(self) -> None:
-        """Stop dispatching; fail whatever is still queued."""
+        """Stop dispatching; fail whatever is still queued.
+
+        The batch already handed to the executor thread runs to the
+        end and settles its own requests; this waits for it without
+        blocking the loop.
+        """
         self._closing = True
         if self._dispatcher is not None:
             self._dispatcher.cancel()
@@ -328,6 +328,9 @@ class BatchingExecutor:
                         ServeError("server shutting down")
                     )
             self._observe_depth()
+        if self._running is not None:
+            await asyncio.wait({self._running})
+            self._running = None
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
@@ -346,8 +349,8 @@ class BatchingExecutor:
         """Enqueue a request, or return ``None`` when the queue is full.
 
         ``dist`` switches the request to the typed-variate path; raw
-        word fetches and variate ops share the queue, the coalescing
-        window, and the worker pool (one backpressure story for both).
+        word fetches and variate ops share the queue and the executor
+        thread (one backpressure story for both).
         """
         if self._queue is None or self._loop is None or self._closing:
             raise ServeError("executor is not running")
@@ -378,62 +381,36 @@ class BatchingExecutor:
         ).set(self.queue_depth)
 
     # ------------------------------------------------------------------
-    # Dispatch (event-loop side) and execution (worker threads)
+    # Dispatch (event-loop side) and execution (executor thread)
     # ------------------------------------------------------------------
 
     async def _dispatch(self) -> None:
         assert self._queue is not None and self._loop is not None
+        queue, loop = self._queue, self._loop
         while True:
-            await self._slots.acquire()
-            batch: List[BatchRequest] = []
-            submitted = False
-            try:
-                batch.append(await self._queue.get())
-                deadline = self._loop.time() + self.window_s
-                while len(batch) < self.max_batch:
-                    remaining = deadline - self._loop.time()
-                    if remaining <= 0:
-                        # Window elapsed; sweep whatever is queued.
-                        while (
-                            len(batch) < self.max_batch
-                            and not self._queue.empty()
-                        ):
-                            batch.append(self._queue.get_nowait())
-                        break
-                    try:
-                        batch.append(
-                            await asyncio.wait_for(
-                                self._queue.get(), remaining
-                            )
-                        )
-                    except asyncio.TimeoutError:
-                        break
-                self._observe_depth()
-                obs_metrics.histogram(
-                    "repro_serve_batch_size", BATCH_SIZE_BUCKETS,
-                    "FETCH requests coalesced per worker-pool batch",
-                ).observe(len(batch))
-                obs_metrics.counter(
-                    "repro_serve_batches_total",
-                    "Batches run on the worker pool",
-                ).inc()
-                self._pool.submit(self._execute, batch, self._loop)
-                submitted = True
-            finally:
-                if not submitted:
-                    # Cancelled mid-coalesce (aclose) or the pool
-                    # refused the batch: these requests are off the
-                    # queue, so nothing else can ever settle them --
-                    # fail them here instead of leaving clients to
-                    # hang until timeout.
-                    for req in batch:
-                        if req.future is not None and not req.future.done():
-                            req.future.set_exception(
-                                ServeError("server shutting down")
-                            )
-                    self._release_slot()
+            batch = [await queue.get()]
+            while len(batch) < self.max_batch and not queue.empty():
+                batch.append(queue.get_nowait())
+            # No await between taking the batch off the queue and
+            # handing it to the thread, so a cancelled dispatcher never
+            # holds requests that nothing will settle.
+            self._running = loop.run_in_executor(
+                self._pool, self._execute, batch, loop
+            )
+            self._observe_depth()
+            obs_metrics.histogram(
+                "repro_serve_batch_size", BATCH_SIZE_BUCKETS,
+                "FETCH requests taken per executor batch",
+            ).observe(len(batch))
+            obs_metrics.counter(
+                "repro_serve_batches_total",
+                "Batches run on the executor thread",
+            ).inc()
+            # Shielded: cancelling the dispatcher (aclose) must not
+            # cancel a batch the thread has not started yet.
+            await asyncio.shield(self._running)
 
-    # -- the cross-session round planner (worker thread) ---------------
+    # -- the cross-session round planner (executor thread) -------------
 
     def _prefill(self, batch: List[BatchRequest],
                  sessions: List[SessionStream]) -> None:
@@ -542,10 +519,9 @@ class BatchingExecutor:
             for key in ("ok", "error", "cancelled")
         }
         try:
-            # One total lock order -- session id -- so two concurrent
-            # batches touching overlapping session sets cannot deadlock
-            # (and it nests consistently above the engine's ascending
-            # shard-lock order inside fetch_spans).
+            # One total lock order -- session id -- for every holder of
+            # several session locks; it nests consistently above the
+            # engine's ascending shard-lock order inside fetch_spans.
             sessions = sorted(
                 {id(r.session): r.session for r in batch}.values(),
                 key=lambda s: (s.session_id, id(s)),
@@ -594,12 +570,6 @@ class BatchingExecutor:
         except BaseException as exc:  # noqa: BLE001 - never lose a batch
             for req in batch:
                 loop.call_soon_threadsafe(_resolve, req.future, None, exc)
-        finally:
-            loop.call_soon_threadsafe(self._release_slot)
-
-    def _release_slot(self) -> None:
-        if self._slots is not None:
-            self._slots.release()
 
 
 def _resolve(future: Optional[asyncio.Future], values, exc) -> None:

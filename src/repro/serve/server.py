@@ -3,14 +3,14 @@
 This is the network face of the paper's ``GetNextRand()`` contract: any
 number of remote consumers draw numbers *on demand*, each from an
 independent, reproducible expander stream ([``session.py``]), with
-requests coalesced into worker-pool batches ([``batching.py``]) and
+requests run in batches on one executor thread ([``batching.py``]) and
 overload shed explicitly as ``BUSY`` instead of buffered without bound.
 
 Layering (nothing here generates a number or computes a metric itself):
 
 * streams -- :mod:`repro.serve.session` on top of ``derive_seed``;
-* execution -- :class:`~repro.serve.batching.BatchingExecutor` on a
-  shared thread pool, off the event loop;
+* execution -- :class:`~repro.serve.batching.BatchingExecutor` on one
+  executor thread, off the event loop;
 * resilience -- each session's feed is a
   :class:`~repro.resilience.supervised.SupervisedFeed`; a dying bit
   source degrades the session (visible in ``STATUS``) instead of
@@ -68,11 +68,8 @@ class ServeConfig:
     rate: Optional[float] = None
     #: Token-bucket capacity in numbers; defaults to one second of rate.
     burst: Optional[float] = None
-    #: Coalescing window and batch cap of the dispatcher.
-    batch_window_s: float = 0.002
+    #: Most queued requests the dispatcher takes into one batch.
     max_batch: int = 64
-    #: Worker threads executing batches.
-    workers: int = 2
     #: ``seed -> BitSource`` for each session's primary feed.
     source_factory: Optional[Callable[[int], BitSource]] = None
     #: Install the SplitMix64/OS-entropy failover chain per session.
@@ -152,8 +149,6 @@ class RNGServer:
         self.executor = BatchingExecutor(
             max_queue=self.config.max_global_queue,
             max_batch=self.config.max_batch,
-            window_s=self.config.batch_window_s,
-            workers=self.config.workers,
             cache_bytes=self.config.cache_bytes,
         )
         self.engine = None

@@ -168,8 +168,8 @@ class SessionStream:
                 self.supervisor.words64(1)
                 self.supervisor.seek(0)
         self.sentinel = sentinel
-        #: Serializes generation so the worker pool can run batches from
-        #: many sessions concurrently without interleaving one stream.
+        #: Serializes generation, so batches on the serve executor
+        #: thread and seeks from other threads never interleave a stream.
         self.lock = threading.Lock()
         self.words_served = 0
         self.requests = 0

@@ -221,7 +221,6 @@ class TestServeParser:
         args = build_parser().parse_args(["serve"])
         assert args.port == 8731
         assert args.seed == 1
-        assert args.workers == 2
         assert args.rate is None
         assert args.duration is None
 

@@ -9,7 +9,7 @@ import pytest
 from repro.core.parallel import AddressableExpanderPRNG
 from repro.core.streams import derive_seed
 from repro.engine import EngineConfig, ShardedEngine, serial_reference
-from repro.engine.sharded import _make_feed
+from repro.engine.sharded import _effective_burst, _make_feed
 from repro.resilience.errors import WorkerFailedError
 from repro.serve.session import SessionStream
 
@@ -160,11 +160,15 @@ class TestFailure:
     def test_dead_shard_raises_worker_failed(self):
         cfg = EngineConfig(seed=3, shards=2, lanes=8, ring_slots=2,
                            fetch_timeout_s=3.0)
+        # The dead shard's ring may already hold every round it wrote;
+        # ask for one round more than the ring can hold, so the request
+        # must reach the dead worker.
+        rounds = cfg.ring_slots * _effective_burst(cfg) + 1
         with ShardedEngine(cfg) as eng:
             eng.generate(16)
             kill_shard(eng, 1)
             with pytest.raises(WorkerFailedError) as err:
-                eng.generate(200)
+                eng.generate(rounds * cfg.shards * cfg.lanes)
             assert err.value.worker_index == 1
             assert eng.health == "FAILED"
 

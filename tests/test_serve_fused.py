@@ -1,12 +1,13 @@
 """The fused serve path: executor regressions and the stream contract.
 
 Covers the three batching-executor bugfixes (shutdown-under-load must
-settle popped batches, the BUSY path must not leak futures, the latency
-histogram must count failures) and the serve-layer stream contract
-under cross-session coalescing + readahead: concurrent sessions served
-through the fused planner must byte-compare equal to per-session serial
-references, in both wire modes, including a mixed raw+VARIATE resume
-drill.
+settle queued requests, the BUSY path must not leak futures, the latency
+histogram must count failures), coalescing by load (requests queued
+behind a running batch run as one batch), and the serve-layer stream
+contract under cross-session coalescing + readahead: concurrent
+sessions served through the fused planner must byte-compare equal to
+per-session serial references, in both wire modes, including a mixed
+raw+VARIATE resume drill.
 """
 
 import asyncio
@@ -23,7 +24,11 @@ from repro.serve import (
     ServeConfig,
     serve_background,
 )
-from repro.serve.batching import LATENCY_BUCKETS, BatchingExecutor
+from repro.serve.batching import (
+    BATCH_SIZE_BUCKETS,
+    LATENCY_BUCKETS,
+    BatchingExecutor,
+)
 from repro.serve.protocol import ServeError
 from repro.serve.session import SessionStream
 
@@ -32,27 +37,37 @@ SEED = 77
 
 class TestBatchingRegressions:
     def test_shutdown_under_load_settles_popped_batch(self):
-        """Requests popped off the queue but not yet submitted to the
-        pool must still settle at aclose -- previously they hung until
-        client timeout."""
+        """At aclose, requests still queued behind a running batch must
+        settle with "server shutting down" (they used to hang until
+        client timeout), and the running batch must finish once it can.
+        The batch is parked on a session lock the test holds."""
 
         async def main():
-            ex = BatchingExecutor(
-                max_queue=16, max_batch=64, window_s=30.0, workers=1
-            )
+            ex = BatchingExecutor(max_queue=16, max_batch=64)
             await ex.start()
+            blocker = SessionStream("shutdown-blocker", master_seed=SEED)
             s = SessionStream("shutdown", master_seed=SEED)
-            futs = [ex.try_submit(s, 16) for _ in range(5)]
-            assert all(f is not None for f in futs)
-            # Let the dispatcher pop the requests and park inside its
-            # (deliberately huge) coalescing window.
-            await asyncio.sleep(0.05)
-            assert ex.queue_depth == 0, "batch should be popped by now"
-            await asyncio.wait_for(ex.aclose(), timeout=10)
-            for fut in futs:
-                assert fut.done(), "popped request never settled"
-                with pytest.raises(ServeError, match="shutting down"):
-                    fut.result()
+            blocker.lock.acquire()
+            try:
+                running = ex.try_submit(blocker, 16)
+                await asyncio.sleep(0.05)
+                assert ex.queue_depth == 0, "batch should be running"
+                futs = [ex.try_submit(s, 16) for _ in range(5)]
+                assert all(f is not None for f in futs)
+                await asyncio.sleep(0.05)
+                assert ex.queue_depth == 5, "requests should be queued"
+                closing = asyncio.ensure_future(ex.aclose())
+                await asyncio.sleep(0.05)
+                for fut in futs:
+                    assert fut.done(), "queued request never settled"
+                    with pytest.raises(ServeError, match="shutting down"):
+                        fut.result()
+                assert not running.done(), "batch ran through the lock"
+            finally:
+                blocker.lock.release()
+            await asyncio.wait_for(closing, timeout=10)
+            ref = SessionStream("shutdown-blocker", master_seed=SEED)
+            np.testing.assert_array_equal(running.result(), ref.generate(16))
 
         asyncio.run(main())
 
@@ -61,29 +76,91 @@ class TestBatchingRegressions:
         created first would stay pending on the loop forever."""
 
         async def main():
-            ex = BatchingExecutor(
-                max_queue=1, max_batch=4, window_s=30.0, workers=1
-            )
+            ex = BatchingExecutor(max_queue=1, max_batch=4)
             await ex.start()
             s = SessionStream("busy", master_seed=SEED)
-            first = ex.try_submit(s, 4)   # popped by the dispatcher
-            assert first is not None
-            await asyncio.sleep(0.05)
-            second = ex.try_submit(s, 4)  # sits in the size-1 queue
-            assert second is not None
-            created = []
-            real = ex._loop.create_future
-            ex._loop.create_future = lambda: (created.append(1), real())[1]
+            s.lock.acquire()  # parks the first batch on the thread
             try:
-                assert ex.try_submit(s, 4) is None  # BUSY
+                first = ex.try_submit(s, 4)   # taken by the dispatcher
+                assert first is not None
+                await asyncio.sleep(0.05)
+                second = ex.try_submit(s, 4)  # sits in the size-1 queue
+                assert second is not None
+                created = []
+                real = ex._loop.create_future
+                ex._loop.create_future = lambda: (created.append(1), real())[1]
+                try:
+                    assert ex.try_submit(s, 4) is None  # BUSY
+                finally:
+                    ex._loop.create_future = real
+                assert not created, "BUSY path leaked a future"
+                closing = asyncio.ensure_future(ex.aclose())
+                await asyncio.sleep(0.05)
             finally:
-                ex._loop.create_future = real
-            assert not created, "BUSY path leaked a future"
-            await asyncio.wait_for(ex.aclose(), timeout=10)
+                s.lock.release()
+            await asyncio.wait_for(closing, timeout=10)
             for fut in (first, second):
                 assert fut.done()
 
         asyncio.run(main())
+
+    def test_requests_queued_behind_a_batch_run_as_one(self):
+        """While the executor thread is busy, requests on N sessions
+        queue behind its batch and then run as exactly one batch: load,
+        not a timer, sets the batch size.  Every reply is the session's
+        own stream."""
+        n = 6
+        with obs.observed() as (registry, _tracer):
+
+            async def main():
+                ex = BatchingExecutor(max_queue=16, max_batch=64)
+                await ex.start()
+                blocker = SessionStream("coalesce-blocker", master_seed=SEED)
+                sessions = [
+                    SessionStream(
+                        f"coalesce-{i}", master_seed=SEED, readahead_max=4096
+                    )
+                    for i in range(n)
+                ]
+                blocker.lock.acquire()
+                try:
+                    first = ex.try_submit(blocker, 8)
+                    await asyncio.sleep(0.05)
+                    assert ex.queue_depth == 0, "batch should be running"
+                    futs = [
+                        ex.try_submit(s, 100 + i, dist="normal")
+                        if i % 2 else ex.try_submit(s, 100 + i)
+                        for i, s in enumerate(sessions)
+                    ]
+                    await asyncio.sleep(0.05)
+                    assert ex.queue_depth == n
+                finally:
+                    blocker.lock.release()
+                got = await asyncio.wait_for(asyncio.gather(first, *futs), 10)
+                await ex.aclose()
+                return got
+
+            first, *replies = asyncio.run(main())
+            hist = registry.histogram(
+                "repro_serve_batch_size", BATCH_SIZE_BUCKETS
+            )
+            assert hist.count == 2 and hist.sum == 1 + n
+            assert registry.counter("repro_serve_batches_total").value == 2
+        np.testing.assert_array_equal(
+            first,
+            SessionStream("coalesce-blocker", master_seed=SEED).generate(8),
+        )
+        for i, reply in enumerate(replies):
+            ref = SessionStream(f"coalesce-{i}", master_seed=SEED)
+            if i % 2:
+                values, words = reply
+                ref_values, ref_words = ref.variates("normal", 100 + i, {})
+                np.testing.assert_array_equal(
+                    values.view(np.uint64), ref_values.view(np.uint64)
+                )
+                assert words == ref_words
+            else:
+                np.testing.assert_array_equal(reply, ref.generate(100 + i))
 
     def test_latency_histogram_counts_failures(self):
         """A failing request must still be observed, or the p99 the
@@ -91,9 +168,7 @@ class TestBatchingRegressions:
         with obs.observed() as (registry, _tracer):
 
             async def main():
-                ex = BatchingExecutor(
-                    max_queue=8, max_batch=4, window_s=0.0, workers=1
-                )
+                ex = BatchingExecutor(max_queue=8, max_batch=4)
                 await ex.start()
                 s = SessionStream("latfail", master_seed=SEED)
                 ok = ex.try_submit(s, 8)
@@ -148,7 +223,7 @@ class TestFusedStreamContract:
         """N sessions under coalescing + readahead, byte-compared
         against the per-session serial reference."""
         sizes = (3, 257, 64, 1000)
-        config = ServeConfig(master_seed=SEED, batch_window_s=0.01)
+        config = ServeConfig(master_seed=SEED)
         results = _fetch_concurrently(config, 8, sizes)
         for i, got in results.items():
             ref = SessionStream(
@@ -181,7 +256,7 @@ class TestFusedStreamContract:
 
     def test_json_wire_mode_through_fused_path(self):
         """The JSON-lines debug mode rides the same fused executor."""
-        config = ServeConfig(master_seed=SEED, batch_window_s=0.005)
+        config = ServeConfig(master_seed=SEED)
         with serve_background(config) as h:
             sock = socket.create_connection((h.host, h.port), timeout=10)
             f = sock.makefile("rwb")
@@ -206,7 +281,7 @@ class TestFusedStreamContract:
         """Disconnect mid-history, RESUME at the delivered word offset,
         continue with both raw and typed ops through the fused planner:
         the whole thing must equal an uninterrupted serial run."""
-        config = ServeConfig(master_seed=SEED, batch_window_s=0.005)
+        config = ServeConfig(master_seed=SEED)
         with serve_background(config) as h:
             c = ServeClient(h.host, h.port, session="drill")
             head_raw = c.fetch(50)
@@ -236,11 +311,7 @@ class TestFusedStreamContract:
         """Engine-backed sessions under the fused planner: concurrent
         streams come out of fetch_spans byte-identical to in-process."""
         sizes = (40, 500, 17)
-        config = ServeConfig(
-            master_seed=SEED,
-            engine_shards=2,
-            batch_window_s=0.01,
-        )
+        config = ServeConfig(master_seed=SEED, engine_shards=2)
         results = _fetch_concurrently(config, 4, sizes, prefix="efused")
         for i, got in results.items():
             ref = SessionStream(

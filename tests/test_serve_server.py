@@ -148,8 +148,6 @@ class TestBackpressure:
             failover=False,
             max_global_queue=2,
             max_session_queue=64,
-            workers=1,
-            batch_window_s=0.0,
             max_batch=1,
         )
         busy, served, errors = [], [], []
