@@ -37,14 +37,13 @@ DEFAULT_SHARD_COUNTS = (1, 2, 4, 8)
 
 
 def measure(shards: int, total_lanes: int, numbers: int,
-            warmup: int, seed: int = 2026, backend=None,
-            ring_burst=None) -> float:
+            warmup: int, seed: int = 2026, ring_burst=None) -> float:
     """Numbers per second of the bulk stream at ``shards`` workers."""
     from repro.engine import DEFAULT_RING_BURST
 
     lanes = max(1, total_lanes // shards)
     config = EngineConfig(
-        seed=seed, shards=shards, lanes=lanes, backend=backend,
+        seed=seed, shards=shards, lanes=lanes,
         ring_burst=DEFAULT_RING_BURST if ring_burst is None else ring_burst,
     )
     with ShardedEngine(config) as eng:
@@ -60,7 +59,6 @@ def run_scaling(
     total_lanes: int = 8192,
     numbers: int = 1 << 20,
     warmup: int = 1 << 16,
-    backend=None,
     ring_burst=None,
 ) -> dict:
     """Measure every shard count; return the benchmark report."""
@@ -74,17 +72,16 @@ def run_scaling(
             DEFAULT_RING_BURST if ring_burst is None else ring_burst
         ),
     }
-    report.update(host_env(backend))
+    report.update(host_env())
     print(
-        f"host: backend {report['backend']}, "
-        f"{report['host_cpu_count']} core(s), "
+        f"host: {report['host_cpu_count']} core(s), "
         f"{report['blas_threads']} BLAS thread(s), "
         f"ring burst {report['ring_burst']}",
         flush=True,
     )
     for k in shard_counts:
         rate = measure(k, total_lanes, numbers, warmup,
-                       backend=backend, ring_burst=ring_burst)
+                       ring_burst=ring_burst)
         report[f"numbers_per_s_{k}"] = round(rate, 1)
         print(f"shards={k:2d}: {rate / 1e6:8.3f} M numbers/s", flush=True)
     if 1 in shard_counts and 4 in shard_counts:
@@ -147,9 +144,6 @@ def main(argv=None) -> int:
     parser.add_argument("--min-speedup", type=float, default=0.0,
                         help="fail unless 1->4 shard speedup reaches this "
                              "(only enforced on hosts with >= 4 cores)")
-    parser.add_argument("--backend", default=None,
-                        help="array backend for the shard workers "
-                             "(numpy, cupy, torch; default numpy)")
     parser.add_argument("--ring-burst", type=int, default=None,
                         help="rounds per ring slot (default: the "
                              "engine's DEFAULT_RING_BURST)")
@@ -159,7 +153,6 @@ def main(argv=None) -> int:
         total_lanes=args.total_lanes,
         numbers=args.numbers,
         warmup=args.warmup,
-        backend=args.backend,
         ring_burst=args.ring_burst,
     )
     from common import emit_bench_record

@@ -71,14 +71,12 @@ def bench_feed(words: int, seed: int = 1) -> dict:
     return out
 
 
-def bench_generate(
-    lanes: int, numbers: int, seed: int = 0, backend=None
-) -> dict:
+def bench_generate(lanes: int, numbers: int, seed: int = 0) -> dict:
     """GENERATE per policy (fused) plus the pre-overhaul reject variant."""
     out = {}
     for policy in POLICIES:
         prng = ParallelExpanderPRNG(
-            num_threads=lanes, seed=seed, policy=policy, backend=backend
+            num_threads=lanes, seed=seed, policy=policy
         )
         prng.generate(lanes)  # warm scratch buffers and the feed
         out[f"gen_numbers_per_s_{policy}"] = _rate(prng.generate, numbers)
@@ -97,13 +95,9 @@ def bench_generate(
     return out
 
 
-def bench_delivery(
-    lanes: int, numbers: int, seed: int = 0, backend=None
-) -> dict:
+def bench_delivery(lanes: int, numbers: int, seed: int = 0) -> dict:
     """Zero-copy ``generate_into`` vs allocating ``generate``."""
-    prng = ParallelExpanderPRNG(
-        num_threads=lanes, seed=seed, backend=backend
-    )
+    prng = ParallelExpanderPRNG(num_threads=lanes, seed=seed)
     prng.generate(lanes)
     alloc_rate = _rate(prng.generate, numbers)
     buf = np.empty(numbers, dtype=np.uint64)
@@ -142,7 +136,6 @@ def run_hotpath(
     feed_words: int = 1 << 21,
     lanes: int = 4096,
     numbers: int = 1 << 20,
-    backend=None,
 ) -> dict:
     from common import host_env
 
@@ -151,10 +144,9 @@ def run_hotpath(
         "lanes": lanes,
         "numbers": numbers,
     }
-    report.update(host_env(backend))
+    report.update(host_env())
     print(
-        f"HOST:     backend {report['backend']}, "
-        f"{report['host_cpu_count']} core(s), "
+        f"HOST:     {report['host_cpu_count']} core(s), "
         f"{report['blas_threads']} BLAS thread(s)",
         flush=True,
     )
@@ -165,7 +157,7 @@ def run_hotpath(
         f"M words/s ({report['feed_speedup']:.2f}x)",
         flush=True,
     )
-    report.update(bench_generate(lanes, numbers, backend=backend))
+    report.update(bench_generate(lanes, numbers))
     for policy in POLICIES:
         print(
             f"GENERATE: {policy:6s} "
@@ -178,7 +170,7 @@ def run_hotpath(
         f" -> end-to-end speedup {report['e2e_speedup_reject']:.2f}x",
         flush=True,
     )
-    report.update(bench_delivery(lanes, numbers, backend=backend))
+    report.update(bench_delivery(lanes, numbers))
     print(
         f"DELIVERY: generate_into "
         f"{report['into_numbers_per_s'] / 1e6:8.3f} M numbers/s, generate "
@@ -244,16 +236,12 @@ def main(argv=None) -> int:
     parser.add_argument("--min-speedup", type=float, default=0.0,
                         help="fail unless the blocked FEED speedup reaches "
                              "this (only enforced on hosts with >= 2 cores)")
-    parser.add_argument("--backend", default=None,
-                        help="array backend for the GENERATE measurements "
-                             "(numpy, cupy, torch; default numpy)")
     args = parser.parse_args(argv)
     if args.quick:
         args.feed_words = min(args.feed_words, 1 << 18)
         args.numbers = min(args.numbers, 1 << 17)
     report = run_hotpath(
         feed_words=args.feed_words, lanes=args.lanes, numbers=args.numbers,
-        backend=args.backend,
     )
     from common import emit_bench_record
 

@@ -65,17 +65,16 @@ def blas_thread_count() -> int:
     return os.cpu_count() or 1
 
 
-def host_env(backend: Optional[str] = None) -> dict:
+def host_env() -> dict:
     """Provenance fields every benchmark record should carry.
 
-    A throughput number is meaningless without the array backend it ran
-    on, the cores it could use and the BLAS pool width behind the
-    blocked FEED -- regressions diff these records across hosts.
+    A throughput number is meaningless without the cores it could use
+    and the BLAS pool width behind the blocked FEED -- regressions diff
+    these records across hosts.  ``backend`` is always ``"numpy"``; the
+    key stays because record readers (``perfbench``) expect it.
     """
-    from repro.backend import get_backend
-
     return {
-        "backend": get_backend(backend).name,
+        "backend": "numpy",
         "host_cpu_count": os.cpu_count() or 1,
         "blas_threads": blas_thread_count(),
     }

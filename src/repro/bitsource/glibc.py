@@ -36,7 +36,7 @@ both variants in one run).
 
 from __future__ import annotations
 
-from repro.backend import host_np as np
+import numpy as np
 
 from repro.bitsource.base import BitSource
 

@@ -127,12 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="distribution parameters, e.g. 'mean=0,std=2' (normal), "
              "'rate=1.5' (exponential), 'lo=0,hi=100' (integers)",
     )
-    gen.add_argument(
-        "--backend", default=None, metavar="NAME",
-        help="array backend for the hot kernels (numpy, cupy, torch; "
-             "default: numpy or $REPRO_BACKEND).  Correct backends are "
-             "bit-identical on raw words",
-    )
     add_obs_flags(gen)
 
     qual = sub.add_parser("quality", help="run a statistical battery")
@@ -257,16 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--no-journal-fsync", action="store_true",
         help="skip fsync on journal appends (faster, weaker durability)",
-    )
-    serve.add_argument(
-        "--backend", default=None, metavar="NAME",
-        help="array backend for session banks and engine workers "
-             "(numpy, cupy, torch; default: numpy or $REPRO_BACKEND)",
-    )
-    serve.add_argument(
-        "--cache-bytes", type=int, default=8 << 20,
-        help="budget of the engine-span response cache (0 disables); "
-             "hits skip whole engine round-trips, byte-identically",
     )
     add_obs_flags(serve)
 
@@ -436,7 +420,6 @@ def _cmd_generate_sharded(args) -> int:
         shards=args.shards,
         lanes=max(1, args.threads // args.shards),
         source_factory=GlibcRandom,  # the paper's feed, per shard
-        backend=args.backend,
     )
     out = sys.stdout
     with _obs_session(args), ShardedEngine(config) as engine:
@@ -487,18 +470,6 @@ def _cmd_generate(args) -> int:
         print("repro generate: error: --params requires --dist",
               file=sys.stderr)
         return 2
-    if args.backend is not None:
-        # Validate eagerly (a typo or missing device library should be
-        # a CLI error, not a late crash) and make it the process
-        # default so every in-process kernel picks it up.
-        from repro.backend import BackendUnavailableError, \
-            set_default_backend
-
-        try:
-            set_default_backend(args.backend)
-        except BackendUnavailableError as exc:
-            print(f"repro generate: error: {exc}", file=sys.stderr)
-            return 2
     if args.shards > 1:
         return _cmd_generate_sharded(args)
     with _obs_session(args) as session:
@@ -728,18 +699,6 @@ def _cmd_serve(args) -> int:
 
     from repro.serve.server import RNGServer, ServeConfig
 
-    if args.backend is not None:
-        from repro.backend import BackendUnavailableError, \
-            set_default_backend
-
-        try:
-            # In-process session banks resolve the process default;
-            # engine workers get the name through the picklable config.
-            set_default_backend(args.backend)
-        except BackendUnavailableError as exc:
-            print(f"repro serve: error: {exc}", file=sys.stderr)
-            return 2
-
     config = ServeConfig(
         host=args.host,
         port=args.port,
@@ -755,8 +714,6 @@ def _cmd_serve(args) -> int:
         sentinel_window=args.sentinel_window,
         journal_path=args.journal,
         journal_fsync=not args.no_journal_fsync,
-        backend=args.backend,
-        cache_bytes=args.cache_bytes,
     )
 
     async def run() -> None:

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from repro.backend import host_np as np
+import numpy as np
 
 from repro.utils.bits import pack_u32_pairs, unpack_u64
 from repro.utils.checks import check_in_range, check_positive

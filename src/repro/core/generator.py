@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.backend import host_np as np
+import numpy as np
+
 from repro.bitsource.base import BitSource
 from repro.bitsource.glibc import GlibcRandom
 from repro.core.expander import GabberGalilExpander
@@ -45,9 +46,6 @@ class ExpanderWalkPRNG:
         Steps per emitted number (paper: 64).
     policy : str
         Neighbour-selection policy, see :mod:`repro.core.walk`.
-    backend : str | Backend, optional
-        Array backend for the walk kernel (see :mod:`repro.backend`).
-        Defaults to the process default (NumPy).
 
     Examples
     --------
@@ -64,7 +62,6 @@ class ExpanderWalkPRNG:
         bit_source: Optional[BitSource] = None,
         walk_length: int = DEFAULT_WALK_LENGTH,
         policy: str = "reject",
-        backend=None,
     ):
         check_positive("walk_length", walk_length)
         self.graph = graph if graph is not None else GabberGalilExpander()
@@ -72,7 +69,7 @@ class ExpanderWalkPRNG:
             bit_source if bit_source is not None else GlibcRandom(seed)
         )
         self.walk_length = int(walk_length)
-        self.engine = WalkEngine(self.graph, policy=policy, backend=backend)
+        self.engine = WalkEngine(self.graph, policy=policy)
         self._state: Optional[WalkState] = None
         self.numbers_generated = 0
         self.initialize()

@@ -89,7 +89,6 @@ class ParallelExpanderPRNG:
         walk_length: int = DEFAULT_WALK_LENGTH,
         policy: str = "reject",
         fused: bool = True,
-        backend=None,
     ):
         check_positive("num_threads", num_threads)
         check_positive("walk_length", walk_length)
@@ -102,12 +101,7 @@ class ParallelExpanderPRNG:
         # ``fused`` selects the allocation-free walk kernel (default) or
         # the legacy reference kernel; the stream is identical either
         # way -- benchmarks use the flag to compare the two.
-        # ``backend`` picks the array backend for the walk kernel; the
-        # stream is bit-identical on every backend (integer kernel).
-        self.engine = WalkEngine(
-            self.graph, policy=policy, fused=fused, backend=backend
-        )
-        self.backend = self.engine.backend
+        self.engine = WalkEngine(self.graph, policy=policy, fused=fused)
         self._state: Optional[WalkState] = None
         self.numbers_generated = 0
         self.initialize()
@@ -420,7 +414,6 @@ class AddressableExpanderPRNG(ParallelExpanderPRNG):
         walk_length: int = DEFAULT_WALK_LENGTH,
         policy: str = "lazy",
         fused: bool = True,
-        backend=None,
     ):
         if policy not in FIXED_CONSUMPTION_POLICIES:
             raise ValueError(
@@ -435,7 +428,6 @@ class AddressableExpanderPRNG(ParallelExpanderPRNG):
             walk_length=walk_length,
             policy=policy,
             fused=fused,
-            backend=backend,
         )
 
     def initialize(self) -> None:
@@ -502,10 +494,6 @@ class AddressableExpanderPRNG(ParallelExpanderPRNG):
             .transpose(1, 0, 2)
             .reshape(wl, num_rounds * nt)
         )
-        if not self.backend.is_host:
-            # Stage the whole launch's index block on the device in one
-            # transfer; per-step row slices then pass through untouched.
-            ks = self.backend.device_index(ks)
         for i in range(wl):
             self.engine._apply_indices(fresh, ks[i])
         fresh.chunks_consumed += wl * nt * num_rounds

@@ -3,6 +3,8 @@
 One NumPy lane corresponds to one GPU thread of the paper: every lane
 holds a current vertex ``(x, y)`` and advances independently, consuming
 3 bits of the CPU feed per step to choose among the 7 neighbour maps.
+The kernel is plain NumPy on host arrays; the GPU's timing is modelled
+by :mod:`repro.gpusim`, not run here.
 
 The paper (Algorithms 1 and 2) masks 3 bits per step out of the feed but
 never says what happens when those bits read ``111`` (7), which does not
@@ -41,7 +43,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.backend import Backend, get_backend, host_np as np
+import numpy as np
+
 from repro.bitsource.base import BitSource
 from repro.core.expander import DEGREE, GabberGalilExpander
 from repro.utils.checks import check_positive
@@ -82,14 +85,6 @@ def _empty_chunks() -> np.ndarray:
     return np.empty(0, dtype=np.uint8)
 
 
-def _acopy(a):
-    """Backend-agnostic array copy (torch spells it ``clone``)."""
-    try:
-        return a.copy()
-    except AttributeError:
-        return a.clone()
-
-
 @dataclass
 class WalkState:
     """Positions of a bank of independent walkers (one lane per GPU thread)."""
@@ -111,14 +106,12 @@ class WalkState:
 
     @property
     def num_walkers(self) -> int:
-        # x is always 1-D; shape[0] (not .size) keeps torch tensors,
-        # whose .size is a method, working as positions.
-        return int(self.x.shape[0])
+        return self.x.size
 
     def copy(self) -> "WalkState":
         return WalkState(
-            _acopy(self.x),
-            _acopy(self.y),
+            self.x.copy(),
+            self.y.copy(),
             self.steps_taken,
             self.chunks_consumed,
             self.feed_buffer.copy(),
@@ -140,14 +133,6 @@ class WalkEngine:
         One of :data:`POLICIES`; see module docstring.
     fused : bool
         Use the packed double-buffer kernel (native graphs only).
-    backend : str | Backend | None
-        Array backend for walker positions and the step kernel (see
-        :mod:`repro.backend`).  ``None`` resolves the process default
-        (NumPy unless overridden).  Non-host backends require the
-        native ``m = 2**32`` graph and always run the fused kernel;
-        a non-native graph silently falls back to the host backend.
-        Feed chunks are drawn on the host either way and uploaded
-        once per bulk walk.
     """
 
     def __init__(
@@ -155,7 +140,6 @@ class WalkEngine:
         graph: GabberGalilExpander,
         policy: str = "reject",
         fused: bool = True,
-        backend=None,
     ):
         if policy not in POLICIES:
             raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
@@ -163,12 +147,6 @@ class WalkEngine:
         self.policy = policy
         dtype = np.uint32 if graph.m == 2**32 else np.uint64
         self._dtype = dtype
-        be = get_backend(backend)
-        if not be.is_host and graph.m != 2**32:
-            be = get_backend("numpy")
-        self.backend: Backend = be
-        self._be_host = be.is_host
-        self._xp = be.xp
         # Lookup tables over k = 0..7 (index 7 only reachable pre-policy).
         is_y = np.array([0, 1, 1, 1, 0, 0, 0, 0], dtype=dtype)
         c_y = np.array([0, 0, 1, 2, 0, 0, 0, 0], dtype=dtype)
@@ -186,14 +164,10 @@ class WalkEngine:
         #     pos' = pos + a2[:, k] * pos[::-1] + c2[:, k],
         # because x reads y and y reads x (`pos[::-1]` swaps the rows)
         # and at most one row's coefficient is nonzero per k.
-        # constant() is the identity on the host backend, so these stay
-        # the plain numpy stacks there; non-host backends get memoized
-        # device-resident copies (one upload, ever).
-        self._a2 = be.constant(np.stack([self._a_x, self._a_y]))
-        self._c2 = be.constant(np.stack([c_x, c_y]))
+        self._a2 = np.stack([self._a_x, self._a_y])
+        self._c2 = np.stack([c_x, c_y])
         # The fused kernel relies on uint32 wraparound (native m only).
-        # Non-host backends only ship the fused kernel.
-        self._fused = (bool(fused) and dtype is np.uint32) or not be.is_host
+        self._fused = bool(fused) and dtype is np.uint32
 
     # ------------------------------------------------------------------
     # State construction
@@ -212,12 +186,7 @@ class WalkEngine:
             x = x % np.uint64(self.graph.m)
             y = y % np.uint64(self.graph.m)
         dtype = np.uint32 if self.graph.m == 2**32 else np.uint64
-        x = x.astype(dtype)
-        y = y.astype(dtype)
-        if not self._be_host:
-            x = self.backend.from_host(x)
-            y = self.backend.from_host(y)
-        return WalkState(x, y)
+        return WalkState(x.astype(dtype), y.astype(dtype))
 
     # ------------------------------------------------------------------
     # Stepping
@@ -318,9 +287,7 @@ class WalkEngine:
         n = state.num_walkers
         bufs = getattr(state, "_fused_bufs", None)
         if bufs is None or bufs[0].shape[1] != n:
-            xp = self._xp
-            u32 = self.backend.uint32
-            bufs = tuple(xp.empty((2, n), dtype=u32) for _ in range(4))
+            bufs = tuple(np.empty((2, n), dtype=np.uint32) for _ in range(4))
             state._fused_bufs = bufs
             state._fused_xy = (None, None)
         cur = bufs[0]
@@ -338,23 +305,14 @@ class WalkEngine:
         state.y = y
         state._fused_xy = (x, y)
 
-    def _apply_indices_fused(self, state: WalkState, ks) -> None:
-        """One fused step: 5 small ``xp`` calls, zero allocations.
-
-        On the host backend ``xp`` is numpy and this is the identical
-        call sequence as always; non-host backends run the same five
-        ops device-resident (``ks`` is uploaded here if the caller did
-        not pre-stage it with :meth:`Backend.device_index`).
-        """
-        xp = self._xp
+    def _apply_indices_fused(self, state: WalkState, ks: np.ndarray) -> None:
+        """One fused step: 5 small numpy calls, zero allocations."""
         cur, nxt, ta, tc = self._fused_buffers(state)
-        if not self._be_host:
-            ks = self.backend.device_index(ks)
-        xp.take(self._a2, ks, axis=1, out=ta)
-        xp.take(self._c2, ks, axis=1, out=tc)
-        xp.multiply(ta, self.backend.swap_rows(cur), out=ta)
-        xp.add(ta, tc, out=ta)
-        xp.add(cur, ta, out=nxt)
+        np.take(self._a2, ks, axis=1, out=ta)
+        np.take(self._c2, ks, axis=1, out=tc)
+        np.multiply(ta, cur[::-1], out=ta)
+        np.add(ta, tc, out=ta)
+        np.add(cur, ta, out=nxt)
         self._fused_commit(state, nxt, cur, ta, tc)
         state.steps_taken += state.num_walkers
 
@@ -428,22 +386,11 @@ class WalkEngine:
             return
         n = state.num_walkers
         ks = self._draw_indices(length * n, source, state).reshape(length, n)
-        if not self._be_host:
-            # One host->device copy for the whole block; row slices of
-            # the uploaded array pass through device_index untouched.
-            ks = self.backend.device_index(ks)
         for i in range(length):
             self._apply_indices(state, ks[i])
 
     def outputs(self, state: WalkState) -> np.ndarray:
-        """Current vertex ids of all walkers -- the emitted random numbers.
-
-        Always a host ``uint64`` array: delivery is host-side by
-        contract, so non-host backends pay their single device->host
-        copy here.
-        """
-        if not self._be_host:
-            return self.backend.pack_pairs_to_host(state.x, state.y)
+        """Current vertex ids of all walkers -- the emitted random numbers."""
         return self.graph.pack(state.x, state.y)
 
     def outputs_into(self, state: WalkState, out: np.ndarray) -> None:
@@ -453,15 +400,10 @@ class WalkEngine:
         ``(x << 32) | y`` is computed in-place in the caller's buffer,
         with no intermediate array.
         """
-        if tuple(out.shape) != tuple(state.x.shape):
+        if out.shape != state.x.shape:
             raise ValueError(
-                f"out has shape {tuple(out.shape)}, expected {tuple(state.x.shape)}"
+                f"out has shape {out.shape}, expected {state.x.shape}"
             )
-        if not self._be_host:
-            # The delivery boundary: one device->host copy, landed
-            # directly in the caller's buffer.
-            out[...] = self.backend.pack_pairs_to_host(state.x, state.y)
-            return
         if self._dtype is np.uint32 and out.dtype == np.uint64:
             np.copyto(out, state.x, casting="safe")
             np.left_shift(out, np.uint64(32), out=out)

@@ -12,12 +12,9 @@ Because an attempt never straddles a block boundary and emitted variates
 keep attempt order, the variate sequence is a pure function of the word
 sequence -- independent of how the words were blocked into calls.
 
-Backends: each kernel resolves the array backend that owns its input
-(:func:`repro.backend.backend_of`) and computes in that namespace, so
-device-resident word blocks transform device-side.  Integer kernels
-(``lemire_bounded``, ``mulhilo64``) are exact on every backend; float
-kernels may differ by ULPs across devices (libm variance) and are only
-bit-pinned on the host backend.
+The kernels are plain NumPy on ``uint64`` word blocks.  The integer
+kernels (``mulhilo64``, ``lemire_bounded``) are exact: the tests check
+them against Python-integer references.
 
 Kernels
 -------
@@ -42,7 +39,9 @@ from __future__ import annotations
 
 import math
 
-from repro.backend import backend_of, host_np as np
+import numpy as np
+from scipy.special import ndtri
+
 from repro.dist.tables import ZIG_RATIO, ZIG_TAIL_SF, ZIG_X, ZIG_Y
 
 __all__ = [
@@ -60,6 +59,8 @@ __all__ = [
 
 _U53_SCALE = 1.0 / 9007199254740992.0  # 2**-53
 _MASK32 = 0xFFFFFFFF
+_SHIFT11 = np.uint64(11)
+_SHIFT32 = np.uint64(32)
 
 #: Words one atomic attempt consumes, per kernel name.
 WORDS_PER_ATTEMPT = {
@@ -84,8 +85,7 @@ MAX_YIELD = {
 
 def uniform53(words: np.ndarray) -> np.ndarray:
     """Top 53 bits of each word -> double in [0, 1); 1 word, 1 variate."""
-    be = backend_of(words)
-    return be.astype_f64(be.rshift_u64(words, 11)) * _U53_SCALE
+    return (words >> _SHIFT11).astype(np.float64) * _U53_SCALE
 
 
 def uniform53_nonzero(words: np.ndarray) -> np.ndarray:
@@ -96,8 +96,7 @@ def uniform53_nonzero(words: np.ndarray) -> np.ndarray:
 def exponential_inverse(words: np.ndarray) -> np.ndarray:
     """Exp(1) by inversion: ``-log(1 - u)``; 1 word, 1 variate, exact."""
     # -log1p(-u) keeps full precision for small u where 1-u rounds.
-    xp = backend_of(words).xp
-    return -xp.log1p(-uniform53(words))
+    return -np.log1p(-uniform53(words))
 
 
 def ziggurat_normal(words: np.ndarray) -> np.ndarray:
@@ -111,39 +110,34 @@ def ziggurat_normal(words: np.ndarray) -> np.ndarray:
     tail emits -- wedge rejections discard the whole attempt, which is
     distributionally identical to the classic "goto start" retry.
     """
-    be = backend_of(words)
-    xp = be.xp
-    zig_x = be.constant(ZIG_X)
-    zig_y = be.constant(ZIG_Y)
-    zig_ratio = be.constant(ZIG_RATIO)
     w = words.reshape(-1, 2)
-    layer = be.astype_index(w[:, 0] & 0xFF)
+    layer = (w[:, 0] & 0xFF).astype(np.intp)
     negative = (w[:, 0] & 0x100) != 0
     u1 = uniform53(w[:, 0])
-    x = u1 * zig_x[layer]
-    accept = u1 < zig_ratio[layer]
+    x = u1 * ZIG_X[layer]
+    accept = u1 < ZIG_RATIO[layer]
     slow = ~accept
     if slow.any():
         u2 = uniform53(w[slow, 1])
         idx = layer[slow]
         tail = idx == 0
         wedge = ~tail
-        slow_accept = be.zeros_bool(int(idx.shape[0]))
+        slow_accept = np.zeros(idx.size, dtype=bool)
         if wedge.any():
             iw = idx[wedge]
             xw = x[slow][wedge]
-            y = zig_y[iw] + u2[wedge] * (zig_y[iw + 1] - zig_y[iw])
-            slow_accept[wedge] = y < xp.exp(-0.5 * xw * xw)
+            y = ZIG_Y[iw] + u2[wedge] * (ZIG_Y[iw + 1] - ZIG_Y[iw])
+            slow_accept[wedge] = y < np.exp(-0.5 * xw * xw)
         if tail.any():
             # Exact inversion within the tail mass: u2 in [0,1) maps
             # 1-u2 into (0,1], so the isf argument never hits 0.
-            xt = -be.ndtri(ZIG_TAIL_SF * (1.0 - u2[tail]))
+            xt = -ndtri(ZIG_TAIL_SF * (1.0 - u2[tail]))
             xs = x[slow]
             xs[tail] = xt
             x[slow] = xs
             slow_accept[tail] = True
         accept[slow] = slow_accept
-    signed = xp.where(negative, -x, x)
+    signed = np.where(negative, -x, x)
     return signed[accept]
 
 
@@ -155,15 +149,14 @@ def polar_normal(words: np.ndarray) -> np.ndarray:
     strictly inside the unit disk (excluding the origin); ~78.5% of
     attempts emit.  Emitted pairs keep attempt order and in-pair order.
     """
-    xp = backend_of(words).xp
     w = words.reshape(-1, 2)
     u = 2.0 * uniform53(w[:, 0]) - 1.0
     v = 2.0 * uniform53(w[:, 1]) - 1.0
     s = u * u + v * v
     ok = (s < 1.0) & (s > 0.0)
     u, v, s = u[ok], v[ok], s[ok]
-    m = xp.sqrt(-2.0 * xp.log(s) / s)
-    out = xp.empty(2 * int(s.shape[0]), dtype=np.float64)
+    m = np.sqrt(-2.0 * np.log(s) / s)
+    out = np.empty(2 * s.size, dtype=np.float64)
     out[0::2] = u * m
     out[1::2] = v * m
     return out
@@ -171,13 +164,12 @@ def polar_normal(words: np.ndarray) -> np.ndarray:
 
 def boxmuller_normal(words: np.ndarray) -> np.ndarray:
     """N(0,1) pairs via Box-Muller; 2 words/attempt, always emits 2."""
-    xp = backend_of(words).xp
     w = words.reshape(-1, 2)
-    r = xp.sqrt(-2.0 * xp.log(uniform53_nonzero(w[:, 0])))
+    r = np.sqrt(-2.0 * np.log(uniform53_nonzero(w[:, 0])))
     theta = (2.0 * math.pi) * uniform53(w[:, 1])
-    out = xp.empty(int(w.shape[0]) * 2, dtype=np.float64)
-    out[0::2] = r * xp.cos(theta)
-    out[1::2] = r * xp.sin(theta)
+    out = np.empty(w.shape[0] * 2, dtype=np.float64)
+    out[0::2] = r * np.cos(theta)
+    out[1::2] = r * np.sin(theta)
     return out
 
 
@@ -185,29 +177,21 @@ def mulhilo64(a: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-element 64x64 -> 128-bit product as ``(hi, lo)`` uint64 arrays.
 
     NumPy has no 128-bit integers, so the product is assembled from
-    32-bit limbs entirely in (logical) uint64 arithmetic, all wraps
-    intended.  Right shifts go through the backend so int64-storage
-    backends still shift logically.
+    32-bit limbs entirely in uint64 arithmetic (all wraps intended).
     """
-    be = backend_of(a)
     bv = b & (2**64 - 1)
     b_lo = bv & _MASK32
     b_hi = bv >> 32
     a_lo = a & _MASK32
-    a_hi = be.rshift_u64(a, 32)
+    a_hi = a >> _SHIFT32
     with np.errstate(over="ignore"):
         ll = a_lo * b_lo
         lh = a_lo * b_hi
         hl = a_hi * b_lo
         hh = a_hi * b_hi
-        carry = be.rshift_u64(ll, 32) + (lh & _MASK32) + (hl & _MASK32)
+        carry = (ll >> _SHIFT32) + (lh & _MASK32) + (hl & _MASK32)
         lo = (ll & _MASK32) | (carry << 32)
-        hi = (
-            hh
-            + be.rshift_u64(lh, 32)
-            + be.rshift_u64(hl, 32)
-            + be.rshift_u64(carry, 32)
-        )
+        hi = hh + (lh >> _SHIFT32) + (hl >> _SHIFT32) + (carry >> _SHIFT32)
     return hi, lo
 
 
@@ -220,13 +204,10 @@ def lemire_bounded(words: np.ndarray, span: int) -> np.ndarray:
     """
     if not 1 <= span <= 2**64:
         raise ValueError(f"span must be in [1, 2**64], got {span}")
-    be = backend_of(words)
     if span == 2**64:
-        return be.copy_u64(words)
+        return words.astype(np.uint64, copy=True)
     hi, lo = mulhilo64(words, span)
     threshold = (2**64 - span) % span  # == 2**64 mod span
     if threshold:
-        # Unsigned compare via the backend: int64-storage backends need
-        # the sign-bit flip, uint64 backends compare directly.
-        return hi[be.ge_u64(lo, threshold)]
+        return hi[lo >= np.uint64(threshold)]
     return hi

@@ -131,11 +131,6 @@ class EngineConfig:
     #: so one burst never exceeds :data:`MAX_ROUND_WORDS` words.
     #: Transport framing only -- never part of the stream's identity.
     ring_burst: int = DEFAULT_RING_BURST
-    #: Array backend name for worker walk kernels (``None`` = process
-    #: default, i.e. NumPy).  The stream is bit-identical on every
-    #: backend; a string (not a Backend instance) so configs stay
-    #: picklable for worker processes.
-    backend: Optional[str] = None
     #: Wrap worker feeds in a SupervisedFeed failover chain.  Value-
     #: transparent while healthy, so it never changes the stream.
     supervised: bool = True
@@ -202,7 +197,6 @@ def _make_bank(config: EngineConfig, shard_index: int) -> AddressableExpanderPRN
         bit_source=_make_feed(config, derive_seed(config.seed, shard_index)),
         walk_length=config.walk_length,
         policy=config.policy,
-        backend=config.backend,
     )
 
 
@@ -214,7 +208,6 @@ def _make_stream(config: EngineConfig, stream_seed: int,
         bit_source=_make_feed(config, stream_seed),
         walk_length=config.walk_length,
         policy=config.policy,
-        backend=config.backend,
     )
 
 
@@ -863,7 +856,6 @@ class ShardedEngine:
             "lanes_per_shard": self.config.lanes,
             "policy": self.config.policy,
             "ring_burst": self._burst,
-            "backend": self.config.backend or "numpy",
             "rounds_assembled": self.rounds_assembled,
             "streams": len(self._stream_words),
             "restarts": self.restarts,

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 __all__ = ["PipelineCosts", "BaselineCosts", "PAPER_THROUGHPUT_GN_S",
-           "BLOCKED_FEED_SPEEDUP", "measure_backend_throughput",
-           "backend_calibration_report"]
+           "BLOCKED_FEED_SPEEDUP", "measure_walk_throughput",
+           "walk_calibration_report"]
 
 #: The headline throughput claim (GNumbers/second).
 PAPER_THROUGHPUT_GN_S = 0.07
@@ -133,35 +133,31 @@ class BaselineCosts:
     cpu_hybrid_single_core_ns: float = 75.0
 
 
-def measure_backend_throughput(
-    backend=None,
+def measure_walk_throughput(
     lanes: int = 4096,
     rounds: int = 32,
     repeats: int = 3,
 ) -> dict:
-    """Measured ns/number of the fused walk hot loop on a real backend.
+    """Measured ns/number of the fused walk hot loop on this host.
 
     Runs the same fused :meth:`~repro.core.parallel.ParallelExpanderPRNG
     .generate_into` loop the production paths use, on ``lanes`` walkers
     for ``rounds`` rounds, and returns the best of ``repeats`` timings.
     This is the empirical counterpart of the simulator's calibrated
     ``generate_ns``: the simulator predicts the paper's testbed, this
-    measures *this* host/device, and
-    :func:`backend_calibration_report` puts the two side by side.
+    measures *this* host, and :func:`walk_calibration_report` puts the
+    two side by side.
     """
-    from repro.backend import get_backend
+    import numpy as np
+
     from repro.bitsource.glibc import GlibcRandom
     from repro.core.parallel import ParallelExpanderPRNG
-
-    be = get_backend(backend)
-    import numpy as np
 
     prng = ParallelExpanderPRNG(
         num_threads=lanes,
         bit_source=GlibcRandom(12345, blocked=True),
         policy="mod",
         fused=True,
-        backend=be,
     )
     out = np.empty(lanes * rounds, dtype=np.uint64)
     best = float("inf")
@@ -170,13 +166,9 @@ def measure_backend_throughput(
         # and chained feeds only seek forward anyway.
         start = time.perf_counter()
         prng.generate_into(out)
-        if hasattr(be, "synchronize"):
-            be.synchronize()
-        elapsed = time.perf_counter() - start
-        best = min(best, elapsed)
+        best = min(best, time.perf_counter() - start)
     numbers = lanes * rounds
     return {
-        "backend": be.name,
         "lanes": lanes,
         "rounds": rounds,
         "numbers": numbers,
@@ -185,27 +177,23 @@ def measure_backend_throughput(
     }
 
 
-def backend_calibration_report(
-    backend=None,
+def walk_calibration_report(
     costs: Optional[PipelineCosts] = None,
     lanes: int = 4096,
     rounds: int = 32,
 ) -> dict:
-    """Measured backend throughput vs the simulator's calibrated cost.
+    """Measured host walk throughput vs the simulator's calibrated cost.
 
-    Returns the :func:`measure_backend_throughput` record augmented
-    with the simulator's predicted per-number GENERATE cost at the same
+    Returns the :func:`measure_walk_throughput` record augmented with
+    the simulator's predicted per-number GENERATE cost at the same
     resident-thread count and the measured/predicted ratio --
-    ``ratio > 1`` means this backend is *slower* than the calibrated
-    paper GPU, ``< 1`` faster.  This makes the paper's "2x faster than
-    GPU Mersenne Twister" claim directly testable on real hardware:
-    measure on a device backend and compare against
+    ``ratio > 1`` means the host kernel is *slower* than the calibrated
+    paper GPU, ``< 1`` faster.  ``speedup_vs_sim_mt`` scores the host
+    kernel against the simulated GPU Mersenne Twister of
     :class:`BaselineCosts`.
     """
     costs = costs or PipelineCosts()
-    measured = measure_backend_throughput(
-        backend, lanes=lanes, rounds=rounds
-    )
+    measured = measure_walk_throughput(lanes=lanes, rounds=rounds)
     predicted = costs.generate_ns_effective(lanes)
     measured["predicted_generate_ns"] = predicted
     measured["measured_over_predicted"] = (

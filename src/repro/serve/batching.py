@@ -52,7 +52,6 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -65,8 +64,7 @@ from repro.serve.session import SessionStream
 from repro.utils.checks import check_positive
 
 __all__ = ["TokenBucket", "BatchRequest", "BatchingExecutor",
-           "ResponseCache", "BATCH_SIZE_BUCKETS", "LATENCY_BUCKETS",
-           "FUSED_SPAN_BUCKETS"]
+           "BATCH_SIZE_BUCKETS", "LATENCY_BUCKETS", "FUSED_SPAN_BUCKETS"]
 
 #: Batch-size histogram bounds (requests per executed batch).
 BATCH_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
@@ -156,72 +154,6 @@ class TokenBucket:
             return self._tokens
 
 
-class ResponseCache:
-    """Byte-bounded LRU over engine span fetches.
-
-    Keys are full stream coordinates -- ``(engine, seed, lanes, offset,
-    count)`` -- so a hit is *definitionally* byte-identical to the
-    engine fetch it replaces: streams are pure functions of their
-    coordinates, and the engine id pins walk length/policy.  Replayed
-    and overlapping-session workloads (many cursors walking the same
-    stream region) skip the engine round-trip entirely.
-
-    Both :meth:`put` and :meth:`get` copy: the wire path byteswaps
-    served buffers **in place** on big-endian framing, so the cache
-    must never share memory with anything it hands out.
-
-    Thread-safe; sized in payload bytes, evicting least-recently-used
-    entries once over budget.  An entry larger than the whole budget is
-    simply not cached.
-    """
-
-    def __init__(self, max_bytes: int):
-        check_positive("max_bytes", max_bytes)
-        self.max_bytes = int(max_bytes)
-        self._entries: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
-        self._bytes = 0
-        self._lock = threading.Lock()
-        self._hits = obs_metrics.counter(
-            "repro_serve_cache_hits_total",
-            "Engine span fetches served from the response cache",
-        )
-        self._misses = obs_metrics.counter(
-            "repro_serve_cache_misses_total",
-            "Engine span fetches that missed the response cache",
-        )
-
-    def get(self, key: tuple) -> Optional[np.ndarray]:
-        """A fresh copy of the cached buffer, or ``None`` on miss."""
-        with self._lock:
-            buf = self._entries.get(key)
-            if buf is None:
-                self._misses.inc()
-                return None
-            self._entries.move_to_end(key)
-            self._hits.inc()
-            return buf.copy()
-
-    def put(self, key: tuple, words: np.ndarray) -> None:
-        """Cache a *copy* of ``words``, evicting LRU entries over budget."""
-        size = int(words.nbytes)
-        if size > self.max_bytes:
-            return
-        with self._lock:
-            old = self._entries.pop(key, None)
-            if old is not None:
-                self._bytes -= old.nbytes
-            self._entries[key] = words.copy()
-            self._bytes += size
-            while self._bytes > self.max_bytes:
-                _, evicted = self._entries.popitem(last=False)
-                self._bytes -= evicted.nbytes
-
-    @property
-    def stats(self) -> Dict[str, int]:
-        with self._lock:
-            return {"entries": len(self._entries), "bytes": self._bytes}
-
-
 @dataclass
 class BatchRequest:
     """One FETCH or VARIATE in flight: stream, size, typed-or-raw, sink.
@@ -262,28 +194,13 @@ class BatchingExecutor:
         valve.  When full, :meth:`try_submit` returns ``None``.
     max_batch : int
         Most requests taken into one batch.
-    cache_bytes : int
-        Budget for the :class:`ResponseCache` over engine span fetches;
-        ``0`` (the default) disables caching entirely.
     """
 
-    def __init__(
-        self,
-        max_queue: int = 256,
-        max_batch: int = 64,
-        cache_bytes: int = 0,
-    ):
+    def __init__(self, max_queue: int = 256, max_batch: int = 64):
         check_positive("max_queue", max_queue)
         check_positive("max_batch", max_batch)
-        if cache_bytes < 0:
-            raise ValueError(
-                f"cache_bytes must be >= 0, got {cache_bytes}"
-            )
         self.max_queue = int(max_queue)
         self.max_batch = int(max_batch)
-        self._cache: Optional[ResponseCache] = (
-            ResponseCache(cache_bytes) if cache_bytes else None
-        )
         self._queue: Optional["asyncio.Queue[BatchRequest]"] = None
         self._pool: Optional[ThreadPoolExecutor] = None
         self._dispatcher: Optional[asyncio.Task] = None
@@ -463,36 +380,16 @@ class BatchingExecutor:
             # else: in-process, readahead off -- the direct draw path
             # already runs one fused in-process launch per request.
         for engine, fills in engines.values():
-            # Consult the response cache first: streams are pure
-            # functions of (seed, lanes, offset, count) under one
-            # engine config, so a keyed hit IS the engine's answer.
-            misses: List[Tuple[SessionStream, int, tuple]] = []
-            for s, n in fills:
-                key = (id(engine), s.seed, s.lanes, s.fill_offset(), n)
-                cached = (
-                    self._cache.get(key)
-                    if self._cache is not None else None
-                )
-                if cached is not None:
-                    s.push_readahead(cached)
-                    prefill_words += cached.size
-                else:
-                    misses.append((s, n, key))
-            if not misses:
-                continue
             spans = [
-                (s.seed, s.lanes, s.fill_offset(), n)
-                for s, n, _ in misses
+                (s.seed, s.lanes, s.fill_offset(), n) for s, n in fills
             ]
             obs_metrics.histogram(
                 "repro_serve_fused_spans", FUSED_SPAN_BUCKETS,
                 "Session spans fused into one engine round",
             ).observe(len(spans))
             results = engine.fetch_spans(spans)
-            for (s, n, key), res in zip(misses, results):
+            for (s, n), res in zip(fills, results):
                 if isinstance(res, np.ndarray):
-                    if self._cache is not None:
-                        self._cache.put(key, res)
                     s.push_readahead(res)
                     prefill_words += res.size
                 # An Exception here is deliberately dropped: the span's

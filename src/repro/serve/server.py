@@ -112,17 +112,6 @@ class ServeConfig:
     journal_path: Optional[str] = None
     #: ``fsync`` the journal on every append (durability vs. latency).
     journal_fsync: bool = True
-    #: Array backend for the hot kernels (:mod:`repro.backend`):
-    #: ``None`` resolves to the process default (usually ``"numpy"``).
-    #: Plumbed into both the in-process session banks and the engine
-    #: worker config; served bytes are backend-independent for any
-    #: bit-correct backend.
-    backend: Optional[str] = None
-    #: Byte budget for the engine-span response cache
-    #: (:class:`repro.serve.batching.ResponseCache`); ``0`` disables
-    #: it.  Only the engine path caches -- hits skip whole engine
-    #: round-trips and are byte-identical by stream purity.
-    cache_bytes: int = 8 << 20
 
 
 @dataclass
@@ -149,7 +138,6 @@ class RNGServer:
         self.executor = BatchingExecutor(
             max_queue=self.config.max_global_queue,
             max_batch=self.config.max_batch,
-            cache_bytes=self.config.cache_bytes,
         )
         self.engine = None
         if self.config.engine_shards > 0:
@@ -162,7 +150,6 @@ class RNGServer:
                 supervised=self.config.failover,
                 source_factory=self.config.source_factory,
                 auto_restart=self.config.engine_auto_restart,
-                backend=self.config.backend,
             ))
         self.sessions: Dict[str, _ServedSession] = {}
         self._server: Optional[asyncio.AbstractServer] = None
@@ -269,7 +256,6 @@ class RNGServer:
                     retry_policy=self.config.retry_policy,
                     sentinel=sentinel,
                     readahead_max=self.config.readahead_max,
-                    backend=self.config.backend,
                 )
             served = _ServedSession(
                 stream=stream,

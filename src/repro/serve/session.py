@@ -118,10 +118,6 @@ class SessionStream:
         function of cumulative demand (:meth:`plan_fill`), and the
         served bytes are identical with readahead on or off --
         ``words_served`` stays the only resume coordinate.
-    backend : str, optional
-        Array backend name for the in-process walker bank (see
-        :mod:`repro.backend`); ignored on the engine path, where the
-        engine's own config picks the workers' backend.
     """
 
     def __init__(
@@ -135,7 +131,6 @@ class SessionStream:
         engine=None,
         sentinel=None,
         readahead_max: int = 0,
-        backend: Optional[str] = None,
     ):
         self.session_id = session_id
         self.index = session_index(session_id)
@@ -157,8 +152,7 @@ class SessionStream:
                 jitter_seed=self.seed,
             )
             self.prng = AddressableExpanderPRNG(
-                num_threads=lanes, bit_source=self.supervisor,
-                backend=backend,
+                num_threads=lanes, bit_source=self.supervisor
             )
             # The addressable bank draws lazily, so probe the feed here
             # and rewind: a fatal feed surfaces its structured error at

@@ -115,48 +115,26 @@ class TestCarry:
             ds.normal(1, method="polar")
 
 
-def _backend_params():
-    from repro.backend import available_backends, backend_names
-
-    avail = available_backends()
-    return [
-        pytest.param(
-            name,
-            marks=() if avail.get(name) else pytest.mark.skip(
-                reason=f"backend {name!r} not available here"
-            ),
-        )
-        for name in backend_names()
-    ]
-
-
-@pytest.mark.parametrize("backend", _backend_params())
 class TestKernelVariantByteIdentity:
     """blocked/scalar feed x fused/unfused walk: same words, same
-    variates, bit for bit -- on every available array backend.
-
-    Variants are compared *within* one backend: the word stream is
-    backend-invariant by the golden suite, and this class pins that the
-    four kernel variants agree with each other wherever they run.
-    """
+    variates, bit for bit."""
 
     @pytest.fixture
-    def variant_streams(self, backend):
+    def variant_streams(self):
         def make(blocked, fused):
             return DistStream(ParallelExpanderPRNG(
                 num_threads=16,
                 bit_source=GlibcRandom(99, blocked=blocked),
                 fused=fused,
-                backend=backend,
             ))
         return [make(b, f) for b in (True, False) for f in (True, False)]
 
-    def test_normal_identical(self, variant_streams, backend):
+    def test_normal_identical(self, variant_streams):
         outs = [ds.normal(513) for ds in variant_streams]
         for other in outs[1:]:
             np.testing.assert_array_equal(_bits(outs[0]), _bits(other))
 
-    def test_integers_identical(self, variant_streams, backend):
+    def test_integers_identical(self, variant_streams):
         outs = [ds.integers(257, -50, 1000) for ds in variant_streams]
         for other in outs[1:]:
             np.testing.assert_array_equal(outs[0], other)
@@ -248,6 +226,29 @@ class TestIntegers:
             for av, hv, lv in zip(a.tolist(), hi.tolist(), lo.tolist()):
                 prod = av * b
                 assert hv == prod >> 64 and lv == prod & (2**64 - 1)
+
+    def test_lemire_bounded_matches_int_reference(self):
+        """The unbiasing compare ``lo >= 2**64 mod span`` is exact.
+
+        This span rejects about a quarter of all words.  Every word has
+        its top bit set, and the last two land one below and exactly on
+        the threshold (``lo == threshold`` is kept).
+        """
+        span = 3 * 2**62 + 1
+        threshold = 2**64 % span
+        rng = np.random.Generator(np.random.PCG64(11))
+        w = rng.integers(0, 2**64, 4000, dtype=np.uint64) | np.uint64(1 << 63)
+        w = np.concatenate([w, np.array(
+            [0xBFFFFFFFFFFFFFFE, 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)])
+        expect = [
+            (x * span) >> 64 for x in w.tolist()
+            if (x * span) % 2**64 >= threshold
+        ]
+        got = tr.lemire_bounded(w, span)
+        assert got.dtype == np.uint64
+        assert got.tolist() == expect
+        assert 0.2 < 1 - len(expect) / w.size < 0.3
+        assert expect[-1] == (0xFFFFFFFFFFFFFFFF * span) >> 64
 
 
 class TestSampleDispatch:

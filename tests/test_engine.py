@@ -175,11 +175,15 @@ class TestFailure:
     def test_bulk_restart_is_deterministic(self):
         cfg = EngineConfig(seed=3, shards=2, lanes=8, ring_slots=2,
                            fetch_timeout_s=3.0, auto_restart=True)
-        ref = serial_reference(cfg, 150)
+        # As above: the post-kill request outgrows the dead shard's
+        # ring, so only a respawned worker can answer it.
+        rounds = cfg.ring_slots * _effective_burst(cfg) + 1
+        n_tail = rounds * cfg.shards * cfg.lanes
+        ref = serial_reference(cfg, 50 + n_tail)
         with ShardedEngine(cfg) as eng:
             head = eng.generate(50)
             kill_shard(eng, 1)
-            tail = eng.generate(100)
+            tail = eng.generate(n_tail)
             assert eng.restarts >= 1
             assert eng.health == "DEGRADED"
         np.testing.assert_array_equal(np.concatenate([head, tail]), ref)

@@ -28,28 +28,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.backend import available_backends, backend_names
 from repro.bitsource.glibc import GlibcRandom
 from repro.core.parallel import ParallelExpanderPRNG
-
-
-def backend_params():
-    """Every registered array backend; unavailable ones skip cleanly.
-
-    The walk kernel is pure integer arithmetic, so a *correct* backend
-    is bit-identical to the golden literals -- running the same pinned
-    vectors on every backend is the enforcement of that rule.
-    """
-    avail = available_backends()
-    return [
-        pytest.param(
-            name,
-            marks=() if avail.get(name) else pytest.mark.skip(
-                reason=f"backend {name!r} not available here"
-            ),
-        )
-        for name in backend_names()
-    ]
 
 GOLDEN_WORDS64_SEED1 = np.array([
     0xd7168acec9ec8f19, 0xcc6690e7d2c37147,
@@ -157,17 +137,15 @@ class TestGoldenFeed:
 
 
 class TestGoldenStreams:
-    @pytest.mark.parametrize("backend", backend_params())
     @pytest.mark.parametrize("policy", sorted(GOLDEN_POLICY_VECTORS))
     @pytest.mark.parametrize("fused", [True, False])
     @pytest.mark.parametrize("blocked", [True, False])
-    def test_policy_stream(self, policy, fused, blocked, backend):
+    def test_policy_stream(self, policy, fused, blocked):
         prng = ParallelExpanderPRNG(
             num_threads=16,
             bit_source=GlibcRandom(0, blocked=blocked),
             policy=policy,
             fused=fused,
-            backend=backend,
         )
         np.testing.assert_array_equal(
             prng.generate(64), GOLDEN_POLICY_VECTORS[policy]

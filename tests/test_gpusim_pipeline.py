@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.gpusim.calibration import PipelineCosts
+from repro.gpusim.calibration import PipelineCosts, walk_calibration_report
 from repro.gpusim.pipeline import PipelineConfig, simulate_pipeline
 from repro.gpusim.timeline import Interval, Timeline
 from repro.hybrid.throughput import (
@@ -138,3 +138,15 @@ class TestUtilizationReport:
             PipelineConfig(total_numbers=10**7, batch_size=100)
         )
         assert f > x and f > g
+
+
+class TestCalibrationBridge:
+    def test_walk_calibration_report(self):
+        rep = walk_calibration_report(lanes=128, rounds=4)
+        assert rep["numbers"] == 128 * 4
+        assert rep["ns_per_number"] > 0
+        assert rep["predicted_generate_ns"] > 0
+        assert rep["measured_over_predicted"] == pytest.approx(
+            rep["ns_per_number"] / rep["predicted_generate_ns"]
+        )
+        assert rep["speedup_vs_sim_mt"] > 0
