@@ -9,7 +9,10 @@ reference kernels **in the same run**:
 * **GENERATE** -- ``ParallelExpanderPRNG.generate`` numbers/s under all
   three neighbour-selection policies with the fused walk kernel, plus
   the pre-overhaul variant (``fused=False`` + unblocked feed) under the
-  default ``reject`` policy for the end-to-end speedup;
+  default ``reject`` policy for the end-to-end speedup; and one
+  serve-shaped readahead refill (a 64-lane ``AddressableExpanderPRNG``
+  over ``SplitMix64Source`` filling 4096 words), fused vs
+  ``fused=False``;
 * **DELIVERY** -- ``generate_into`` into a caller-owned buffer vs
   allocating ``generate``;
 * **stage self-time** -- per-stage ``self_s`` from the obs tracer for
@@ -40,8 +43,9 @@ sys.path.insert(0, str(pathlib.Path(__file__).parent))
 import numpy as np
 
 from repro import obs
+from repro.bitsource.counter import SplitMix64Source
 from repro.bitsource.glibc import GlibcRandom
-from repro.core.parallel import ParallelExpanderPRNG
+from repro.core.parallel import AddressableExpanderPRNG, ParallelExpanderPRNG
 from repro.core.walk import POLICIES
 
 
@@ -92,6 +96,28 @@ def bench_generate(lanes: int, numbers: int, seed: int = 0) -> dict:
         out["gen_numbers_per_s_reject"]
         / out["gen_numbers_per_s_reject_legacy"]
     )
+    return out
+
+
+def bench_refill(words: int = 4096, seed: int = 0) -> dict:
+    """GENERATE for one serve-shaped readahead refill.
+
+    A serve session's in-process bank -- 64 lanes on a SplitMix64 feed
+    -- filling ``words`` words, the readahead cap: one launch of
+    ``words / 64`` rounds walked as one ``words``-lane bank.  Fused
+    kernel vs the ``fused=False`` reference.
+    """
+    out = {}
+    buf = np.empty(words, dtype=np.uint64)
+    for key, fused, repeats in (
+        ("refill_words_per_s_addressable64", True, 20),
+        ("refill_words_per_s_addressable64_reference", False, 5),
+    ):
+        prng = AddressableExpanderPRNG(
+            num_threads=64, bit_source=SplitMix64Source(seed), fused=fused
+        )
+        prng.generate_into(buf)  # warm the kernel scratch
+        out[key] = _rate(lambda _n: prng.generate_into(buf), words, repeats)
     return out
 
 
@@ -170,6 +196,15 @@ def run_hotpath(
         f" -> end-to-end speedup {report['e2e_speedup_reject']:.2f}x",
         flush=True,
     )
+    report.update(bench_refill())
+    fused = report["refill_words_per_s_addressable64"]
+    ref = report["refill_words_per_s_addressable64_reference"]
+    print(
+        f"GENERATE: refill {fused / 1e6:8.3f} M words/s "
+        f"(64-lane bank, 4096 words; {4096 / fused * 1e3:.2f} ms), "
+        f"reference {ref / 1e6:8.3f} M words/s ({fused / ref:.2f}x)",
+        flush=True,
+    )
     report.update(bench_delivery(lanes, numbers))
     print(
         f"DELIVERY: generate_into "
@@ -216,6 +251,8 @@ def test_hotpath_smoke():
     report = run_hotpath(feed_words=1 << 12, lanes=64, numbers=2048)
     assert report["feed_words_per_s_blocked"] > 0
     assert report["gen_numbers_per_s_reject"] > 0
+    assert report["refill_words_per_s_addressable64"] > 0
+    assert report["refill_words_per_s_addressable64_reference"] > 0
     assert report["into_numbers_per_s"] > 0
     record("hotpath", "hot-path smoke", data={
         k: round(v, 3) for k, v in report.items()

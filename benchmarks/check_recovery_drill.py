@@ -102,6 +102,13 @@ def run_variates_drill(clients: int, head: int, tail: int) -> int:
                 b = conns[sid].fetch_variates("normal", head - head // 3)
                 heads[sid] = np.concatenate([a, b])
                 word_marks[sid] = conns[sid].words_received
+            # The server journals each ack after its send, so the last
+            # reply can reach the client before its ack is on disk.  A
+            # connection's frames are handled in order: the reply to one
+            # STATUS on each session's own connection proves the ack
+            # before it was journaled and fsync'd.
+            for sid in sessions:
+                conns[sid].status()
             kill_server(proc)
         finally:
             if proc.poll() is None:  # pragma: no cover - cleanup path

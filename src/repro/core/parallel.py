@@ -98,9 +98,9 @@ class ParallelExpanderPRNG:
             bit_source if bit_source is not None else GlibcRandom(seed)
         )
         self.walk_length = int(walk_length)
-        # ``fused`` selects the allocation-free walk kernel (default) or
-        # the legacy reference kernel; the stream is identical either
-        # way -- benchmarks use the flag to compare the two.
+        # ``fused`` selects the fused walk kernel (default) or the
+        # legacy reference kernel; the stream is identical either way
+        # -- benchmarks use the flag to compare the two.
         self.engine = WalkEngine(self.graph, policy=policy, fused=fused)
         self._state: Optional[WalkState] = None
         self.numbers_generated = 0
@@ -453,8 +453,8 @@ class AddressableExpanderPRNG(ParallelExpanderPRNG):
         feed slice, ``num_rounds`` consecutive rounds of an ``nt``-lane
         bank are *one* walk of ``num_rounds * nt`` independent lanes:
         lane ``r * nt + j`` is round ``r``'s walker ``j``, started from
-        round ``r``'s start words and stepped by round ``r``'s chunk
-        indices.  Lanes never interact, so the fused walk is
+        round ``r``'s start words and stepped by round ``r``'s raw
+        chunks.  Lanes never interact, so the fused walk is
         bit-identical to ``num_rounds`` sequential rounds -- while the
         per-step NumPy work runs on ``num_rounds``-times-wider arrays,
         which is what makes small session banks (64 lanes) fast.
@@ -468,36 +468,28 @@ class AddressableExpanderPRNG(ParallelExpanderPRNG):
         words = self.source.words64(num_rounds * wpr)
         self._source_pos = base + num_rounds * wpr
         slab = words.reshape(num_rounds, wpr)
-        fresh = self.engine.make_state(slab[:, :nt].reshape(-1))
-        prev = self._state
-        if prev is not None:
-            # Carry the cumulative counters and the fused-kernel scratch
-            # buffers across launches; the stale view identities (and a
-            # lane-count check inside the kernel) force the scratch to
-            # re-sync with the new start positions.
-            fresh.steps_taken = prev.steps_taken
-            fresh.chunks_consumed = prev.chunks_consumed
-            bufs = getattr(prev, "_fused_bufs", None)
-            if bufs is not None:
-                fresh._fused_bufs = bufs
-                fresh._fused_xy = (None, None)
-        self._state = fresh
+        starts = slab[:, :nt].reshape(-1)
+        if self._state is None:
+            self._state = self.engine.make_state(starts)
+        else:
+            # Keeps the cumulative counters and the kernel scratch.
+            self.engine.restart(self._state, starts)
         # Per round: 21 chunks per word, first wl * nt are real, the
         # word-tail chunks are padding.  Step-major across the fused
-        # lane axis: ks[i] holds step i's index for every (round, lane).
-        ks = self.engine.indices_from_chunks(
-            chunks_from_words(np.ascontiguousarray(slab[:, nt:]).reshape(-1))
+        # lane axis: chunks[i] holds step i's raw chunk for every
+        # (round, lane).
+        chunks = chunks_from_words(
+            np.ascontiguousarray(slab[:, nt:]).reshape(-1)
         )
-        ks = ks.reshape(num_rounds, -1)[:, : wl * nt]
-        ks = np.ascontiguousarray(
-            ks.reshape(num_rounds, wl, nt)
+        chunks = chunks.reshape(num_rounds, -1)[:, : wl * nt]
+        chunks = np.ascontiguousarray(
+            chunks.reshape(num_rounds, wl, nt)
             .transpose(1, 0, 2)
             .reshape(wl, num_rounds * nt)
         )
-        for i in range(wl):
-            self.engine._apply_indices(fresh, ks[i])
-        fresh.chunks_consumed += wl * nt * num_rounds
-        self.engine.outputs_into(fresh, out)
+        self.engine.advance(self._state, chunks)
+        self._state.chunks_consumed += wl * nt * num_rounds
+        self.engine.outputs_into(self._state, out)
         self._round_index += num_rounds
 
     def _launch_into(self, out: np.ndarray, num_rounds: int) -> None:

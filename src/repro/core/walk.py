@@ -22,6 +22,11 @@ name a neighbour.  Three policies are implemented and ablated:
     probability 2/8.  Same bit cost as ``mod``; bias only towards
     self-loops, which provably cannot hurt the stationary distribution.
 
+With ``DEGREE == 7``, ``mod`` and ``lazy`` emit the same stream: chunk 7
+names map 0, the identity, under either rule (``7 % 7 == 0``).  The
+fused kernel relies on this -- it reads raw chunks and gives chunk 7
+the identity's coefficients, so it never maps chunks to indices.
+
 The stream contract
 -------------------
 A walker bank's trajectory is a pure function of ``(start vertices,
@@ -41,6 +46,7 @@ next step draws anything.  Consequences, guaranteed by tests:
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,6 +83,25 @@ CHUNKS_PER_WORD = 21
 #: values, because the chunk stream is a fixed function of the word
 #: stream and buffered chunks are consumed strictly in order.
 PREFETCH_WORDS = 1 << 12
+
+#: Lane-steps of fused-kernel coefficients built per block: a walk of
+#: ``n`` lanes computes them ``max(1, COEF_BLOCK_LANE_STEPS // n)`` steps
+#: at a time, so its two uint8 coefficient arrays stay within
+#: 2 x 2 x 2**18 bytes whatever the walk length.  A batching bound
+#: only; it cannot change emitted values.
+COEF_BLOCK_LANE_STEPS = 1 << 18
+
+#: Coefficient scratch, one pair of flat uint8 buffers per thread.  Not
+#: per state: a serve process keeps one walker state per session, and a
+#: megabyte each would multiply its footprint.  Not per call either: on
+#: a worker thread a fresh megabyte is page-faulted in on every refill.
+#: Every step reads only coefficients the same call just wrote, so
+#: values cannot depend on the buffers.
+_COEF_SCRATCH = threading.local()
+
+#: Per-row chunk offsets of the coefficient pass: row 0 (x) is moved by
+#: the x-maps 4..6, row 1 (y) by the y-maps 1..3.
+_COEF_OFFSETS = np.array([[4], [1]], dtype=np.uint8)
 
 _U8 = np.uint8
 
@@ -121,10 +146,12 @@ class WalkState:
 class WalkEngine:
     """Advances banks of walkers on a :class:`GabberGalilExpander`.
 
-    Stepping is branch-free: per-``k`` lookup tables turn the 7 neighbour
-    maps into two fused affine updates (``x += isX[k] * (2y + cX[k])``,
-    ``y += isY[k] * (2x + cY[k])``), which is also exactly how a CUDA
-    kernel would avoid warp divergence.
+    Stepping is branch-free: the 7 neighbour maps become two fused
+    affine updates (``x += isX[k] * (2y + cX[k])``, ``y += isY[k] * (2x
+    + cY[k])``), which is also exactly how a CUDA kernel would avoid
+    warp divergence.  The reference path looks the coefficients up in
+    per-``k`` tables; the fused kernel computes them from the raw chunks
+    with uint8 arithmetic (:meth:`advance`).
 
     Parameters
     ----------
@@ -132,7 +159,7 @@ class WalkEngine:
     policy : str
         One of :data:`POLICIES`; see module docstring.
     fused : bool
-        Use the packed double-buffer kernel (native graphs only).
+        Use the fused three-call kernel (native graphs only).
     """
 
     def __init__(
@@ -153,19 +180,11 @@ class WalkEngine:
         is_x = np.array([0, 0, 0, 0, 1, 1, 1, 0], dtype=dtype)
         c_x = np.array([0, 0, 0, 0, 0, 1, 2, 0], dtype=dtype)
         self._luts = (is_y, c_y, is_x, c_x)
-        # Fused tables for the fast path: y' = y + a_y[k]*x + c_y[k],
+        # Fused tables for the reference path: y' = y + a_y[k]*x + c_y[k],
         # x' = x + a_x[k]*y + c_x[k]  (a = 2*is; the c term is already
         # zero wherever `is` is zero, so no second mask is needed).
         self._a_y = (dtype(2) * is_y).astype(dtype)
         self._a_x = (dtype(2) * is_x).astype(dtype)
-        # Packed (2, 8) tables for the fused kernel: with positions held
-        # as a (2, n) array `pos` (row 0 = x, row 1 = y) the whole step
-        # is one broadcast update,
-        #     pos' = pos + a2[:, k] * pos[::-1] + c2[:, k],
-        # because x reads y and y reads x (`pos[::-1]` swaps the rows)
-        # and at most one row's coefficient is nonzero per k.
-        self._a2 = np.stack([self._a_x, self._a_y])
-        self._c2 = np.stack([c_x, c_y])
         # The fused kernel relies on uint32 wraparound (native m only).
         self._fused = bool(fused) and dtype is np.uint32
 
@@ -187,6 +206,16 @@ class WalkEngine:
             y = y % np.uint64(self.graph.m)
         dtype = np.uint32 if self.graph.m == 2**32 else np.uint64
         return WalkState(x.astype(dtype), y.astype(dtype))
+
+    def restart(self, state: WalkState, start_words: np.ndarray) -> None:
+        """Move ``state``'s walkers to fresh start vertices, in place.
+
+        The lane count may change.  Counters, feed buffer and kernel
+        scratch carry over; the fused kernel re-syncs its scratch with
+        the new positions on its next step.
+        """
+        fresh = self.make_state(start_words)
+        state.x, state.y = fresh.x, fresh.y
 
     # ------------------------------------------------------------------
     # Stepping
@@ -273,22 +302,21 @@ class WalkEngine:
             "map pre-drawn chunks to indices"
         )
 
-    # -- fused kernel plumbing -----------------------------------------
+    # -- fused kernel --------------------------------------------------
 
     def _fused_buffers(self, state: WalkState):
-        """Per-state (2, n) double-buffer scratch for the fused kernel.
+        """Per-state (2, n) ping-pong scratch for the fused kernel.
 
         ``state.x`` / ``state.y`` are row views into the current buffer
         after a fused step; the stored view identities detect external
-        reassignment (snapshot restore, legacy interleave, fresh state)
-        and copy the positions back in.  Returns ``(cur, nxt, ta, tc)``
-        with ``cur`` holding the current positions.
+        reassignment (snapshot restore, :meth:`restart`, fresh state)
+        and copy the positions back in.  Returns ``(cur, nxt, t)`` with
+        ``cur`` holding the current positions.
         """
         n = state.num_walkers
         bufs = getattr(state, "_fused_bufs", None)
         if bufs is None or bufs[0].shape[1] != n:
-            bufs = tuple(np.empty((2, n), dtype=np.uint32) for _ in range(4))
-            state._fused_bufs = bufs
+            bufs = tuple(np.empty((2, n), dtype=np.uint32) for _ in range(3))
             state._fused_xy = (None, None)
         cur = bufs[0]
         xv, yv = state._fused_xy
@@ -297,36 +325,92 @@ class WalkEngine:
             cur[1] = state.y
         return bufs
 
-    def _fused_commit(self, state: WalkState, cur, nxt, ta, tc) -> None:
-        """Publish ``cur`` as the new positions and keep the buffers."""
-        state._fused_bufs = (cur, nxt, ta, tc)
-        x, y = cur[0], cur[1]
-        state.x = x
-        state.y = y
-        state._fused_xy = (x, y)
+    @staticmethod
+    def _coefficients(k: np.ndarray, a: np.ndarray, c: np.ndarray) -> None:
+        """Fused-step coefficients of raw chunks ``k`` (L, n) into (L, 2, n).
 
-    def _apply_indices_fused(self, state: WalkState, ks: np.ndarray) -> None:
-        """One fused step: 5 small numpy calls, zero allocations."""
-        cur, nxt, ta, tc = self._fused_buffers(state)
-        np.take(self._a2, ks, axis=1, out=ta)
-        np.take(self._c2, ks, axis=1, out=tc)
-        np.multiply(ta, cur[::-1], out=ta)
-        np.add(ta, tc, out=ta)
-        np.add(cur, ta, out=nxt)
-        self._fused_commit(state, nxt, cur, ta, tc)
-        state.steps_taken += state.num_walkers
+        Row 0 moves x by the x-maps 4..6 (``a = 2``, ``c = k - 4``), row
+        1 moves y by the y-maps 1..3 (``a = 2``, ``c = k - 1``), and
+        chunks 0 and 7 get ``(0, 0)``, the identity.  With uint8
+        wraparound one unsigned compare picks a row's three maps:
+        ``k - off < 3`` exactly when ``off <= k < off + 3``.  Four uint8
+        ufuncs over the whole block, no lookups and no temporaries.
+        """
+        np.subtract(k[:, None, :], _COEF_OFFSETS, out=c)
+        np.less(c, _U8(3), out=a.view(np.bool_))
+        np.multiply(c, a, out=c)
+        np.add(a, a, out=a)
+
+    def _advance_fused(self, state: WalkState, chunks: np.ndarray) -> None:
+        """``len(chunks)`` fused steps, three NumPy calls each.
+
+        With positions held as a (2, n) array ``pos`` (row 0 = x, row 1
+        = y) a step is one broadcast update,
+        ``pos' = pos + a * pos[::-1] + c``, because x reads y and y
+        reads x (``pos[::-1]`` swaps the rows) and at most one row's
+        coefficient is nonzero per lane; uint32 wraparound is the mod
+        2**32.  Coefficients are built per block of steps (see
+        :data:`COEF_BLOCK_LANE_STEPS`) in per-thread scratch.
+        """
+        n = state.num_walkers
+        steps = len(chunks)
+        block = max(1, COEF_BLOCK_LANE_STEPS // max(n, 1))
+        cur, nxt, t = self._fused_buffers(state)
+        rows = min(block, steps)
+        size = rows * 2 * n
+        bufs = getattr(_COEF_SCRATCH, "bufs", None)
+        if bufs is None or bufs[0].size < size:
+            bufs = tuple(np.empty(size, dtype=np.uint8) for _ in range(2))
+            _COEF_SCRATCH.bufs = bufs
+        a, c = (buf[:size].reshape(rows, 2, n) for buf in bufs)
+        for s0 in range(0, steps, block):
+            k = chunks[s0 : s0 + block]
+            lb = len(k)
+            self._coefficients(k, a[:lb], c[:lb])
+            for i in range(lb):
+                np.multiply(cur[::-1], a[i], out=t)
+                np.add(t, c[i], out=t)
+                np.add(cur, t, out=nxt)
+                cur, nxt = nxt, cur
+        state._fused_bufs = (cur, nxt, t)
+        state.x, state.y = cur[0], cur[1]
+        state._fused_xy = (state.x, state.y)
+        state.steps_taken += steps * n
+
+    def advance(self, state: WalkState, chunks: np.ndarray) -> None:
+        """Advance every walker by ``len(chunks)`` steps on raw chunks.
+
+        ``chunks`` is an ``(L, n)`` step-major block of raw 3-bit chunks
+        (0..7): step ``i`` moves lane ``j`` by the map ``chunks[i, j]``
+        names under a fixed-consumption policy, chunk 7 included.  The
+        caller has already taken (and counted) the chunks.  The fused
+        kernel reads them raw; the reference path maps them with
+        :meth:`indices_from_chunks` and steps one row at a time.
+        """
+        if self.policy not in FIXED_CONSUMPTION_POLICIES:
+            raise ValueError(
+                f"policy {self.policy!r} redraws chunk 7, so raw chunks do "
+                "not name its steps; use walk() or step()"
+            )
+        if self._fused:
+            self._advance_fused(state, chunks)
+            return
+        for ks in self.indices_from_chunks(chunks):
+            self._apply_indices(state, ks)
 
     def _apply_indices(self, state: WalkState, ks: np.ndarray) -> None:
         """Advance all walkers by one step given neighbour indices ``ks``.
 
-        Native path (m = 2**32): fused-LUT updates into double-buffered
+        Fused engines run the fused kernel on a one-step block (indices
+        0..6 are raw chunks naming the same maps).  Reference native
+        path (m = 2**32): fused-LUT updates into double-buffered
         scratch arrays -- no per-step allocations, ~2x the throughput of
         the naive expression.  At most one of a_y/a_x is nonzero per k
         (both zero for k == 0), so both updates can read the pre-step
         x and y.
         """
         if self._fused:
-            self._apply_indices_fused(state, ks)
+            self._advance_fused(state, ks[None])
             return
         n = state.num_walkers
         if self._dtype is np.uint32:
@@ -385,9 +469,9 @@ class WalkEngine:
                 self.step(state, source)
             return
         n = state.num_walkers
-        ks = self._draw_indices(length * n, source, state).reshape(length, n)
-        for i in range(length):
-            self._apply_indices(state, ks[i])
+        chunks = self._take_chunks(state, source, length * n)
+        state.chunks_consumed += length * n
+        self.advance(state, chunks.reshape(length, n))
 
     def outputs(self, state: WalkState) -> np.ndarray:
         """Current vertex ids of all walkers -- the emitted random numbers."""

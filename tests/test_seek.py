@@ -318,6 +318,25 @@ class TestFusedRounds:
         strict = bank().generate(1000)
         np.testing.assert_array_equal(fused, strict)
 
+    def test_launch_spanning_coefficient_blocks(self, monkeypatch):
+        """2048 lanes x 40 rounds launches as 32 + 8 rounds: 65536 and
+        16384 lanes, so 16 and 4 coefficient blocks of the 64-step
+        walk.  Equal to the reference kernel and to one round per
+        launch (one block each)."""
+        import repro.core.parallel as parallel_mod
+
+        def bank(fused=True):
+            return AddressableExpanderPRNG(
+                num_threads=2048, bit_source=SplitMix64Source(5),
+                fused=fused,
+            )
+
+        n = 2048 * 40
+        fused = bank().generate(n)
+        np.testing.assert_array_equal(fused, bank(fused=False).generate(n))
+        monkeypatch.setattr(parallel_mod, "FUSED_LAUNCH_LANES", 1)
+        np.testing.assert_array_equal(fused, bank().generate(n))
+
     def test_fused_split_fetch_and_seek(self):
         a = AddressableExpanderPRNG(
             num_threads=8, bit_source=SplitMix64Source(5)

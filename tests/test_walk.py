@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 from repro.bitsource.counter import RawCounterSource, SplitMix64Source
 from repro.core.expander import GabberGalilExpander
-from repro.core.walk import POLICIES, WalkEngine, WalkState
+from repro.core.walk import (
+    COEF_BLOCK_LANE_STEPS,
+    FIXED_CONSUMPTION_POLICIES,
+    POLICIES,
+    WalkEngine,
+    WalkState,
+)
 
 
 def make_state(n, m=2**32, seed=5):
@@ -296,6 +302,120 @@ class TestFusedKernel:
         assert sf.chunks_consumed == sr.chunks_consumed
         assert sf.steps_taken == sr.steps_taken
         np.testing.assert_array_equal(sf.feed_buffer, sr.feed_buffer)
+
+    def test_coefficients_match_reference_luts(self):
+        """The uint8 coefficient pass reproduces the reference tables
+        for every raw chunk value: ``a = 2 * is``, ``c`` as tabled, and
+        chunk 7 gets chunk 0's identity."""
+        eng = WalkEngine(GabberGalilExpander())
+        k = np.arange(8, dtype=np.uint8)[None, :]  # one step, lane j reads j
+        a = np.empty((1, 2, 8), dtype=np.uint8)
+        c = np.empty_like(a)
+        eng._coefficients(k, a, c)
+        is_y, c_y, is_x, c_x = eng._luts
+        np.testing.assert_array_equal(a[0], np.stack([2 * is_x, 2 * is_y]))
+        np.testing.assert_array_equal(c[0], np.stack([c_x, c_y]))
+        np.testing.assert_array_equal(a[0, :, 7], a[0, :, 0])
+        np.testing.assert_array_equal(c[0, :, 7], c[0, :, 0])
+
+    @pytest.mark.parametrize("policy", FIXED_CONSUMPTION_POLICIES)
+    @pytest.mark.parametrize("n,length,blocks", [
+        (1, 40, 1),
+        (7, 33, 1),
+        (64, 64, 1),
+        (4099, 64, 2),     # 63-step block plus a 1-step tail
+        (1 << 13, 64, 2),  # two 32-step blocks
+    ])
+    def test_raw_chunk_block_matches_reference(self, policy, n, length, blocks):
+        """A block of raw chunks, 7s included, through the fused kernel
+        equals the reference path: ``indices_from_chunks`` and then one
+        reference step per row."""
+        assert -(-length // max(1, COEF_BLOCK_LANE_STEPS // n)) == blocks
+        g = GabberGalilExpander()
+        fused = WalkEngine(g, policy=policy)
+        ref = WalkEngine(g, policy=policy, fused=False)
+        chunks = np.random.default_rng(n).integers(
+            0, 8, size=(length, n), dtype=np.uint8
+        )
+        chunks[0, 0] = 7
+        starts = SplitMix64Source(n).words64(n)
+        sf = fused.make_state(starts)
+        sr = ref.make_state(starts)
+        fused.advance(sf, chunks)
+        for ks in ref.indices_from_chunks(chunks):
+            ref._apply_indices(sr, ks)
+        np.testing.assert_array_equal(sf.x, sr.x)
+        np.testing.assert_array_equal(sf.y, sr.y)
+        assert sf.steps_taken == sr.steps_taken == length * n
+
+    def test_concurrent_walks_keep_their_own_scratch(self):
+        """Coefficient scratch is per thread: banks walked on more
+        threads than cores, with a short switch interval, match the
+        same banks walked one after another."""
+        import sys
+        import threading
+
+        eng = WalkEngine(GabberGalilExpander(), policy="lazy")
+
+        def run(seed):
+            state = eng.make_state(SplitMix64Source(seed).words64(512))
+            eng.walk(state, SplitMix64Source(seed + 100), 64)
+            return eng.outputs(state)
+
+        expected = [run(i) for i in range(6)]
+        got = [[] for _ in range(6)]
+
+        def worker(i):
+            for _ in range(5):
+                got[i].append(run(i))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(i,)) for i in range(6)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        for want, runs in zip(expected, got):
+            assert len(runs) == 5
+            for out in runs:
+                np.testing.assert_array_equal(out, want)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_zero_lanes(self, policy):
+        eng = WalkEngine(GabberGalilExpander(), policy=policy)
+        state = eng.make_state(np.empty(0, dtype=np.uint64))
+        eng.walk(state, SplitMix64Source(1), 3)
+        assert state.x.shape == state.y.shape == (0,)
+
+    @pytest.mark.parametrize("fused", [True, False])
+    def test_advance_rejects_reject_policy(self, fused):
+        eng = WalkEngine(GabberGalilExpander(), policy="reject", fused=fused)
+        state = eng.make_state(SplitMix64Source(1).words64(4))
+        with pytest.raises(ValueError, match="redraws chunk 7"):
+            eng.advance(state, np.zeros((1, 4), dtype=np.uint8))
+
+    def test_restart_changes_lane_count(self):
+        """restart() re-points a state at new start vertices, resizing
+        the kernel scratch; the walk then matches a fresh state."""
+        g = GabberGalilExpander()
+        eng = WalkEngine(g, policy="lazy")
+        state = eng.make_state(SplitMix64Source(1).words64(8))
+        eng.walk(state, SplitMix64Source(2), 5)
+        starts = SplitMix64Source(3).words64(24)
+        eng.restart(state, starts)
+        fresh = eng.make_state(starts)
+        chunks = SplitMix64Source(4).chunks3(6 * 24).reshape(6, 24)
+        eng.advance(state, chunks)
+        eng.advance(fresh, chunks)
+        np.testing.assert_array_equal(eng.outputs(state), eng.outputs(fresh))
+        assert state.steps_taken == 5 * 8 + 6 * 24
 
     def test_disabled_for_non_native_modulus(self):
         assert not WalkEngine(GabberGalilExpander(m=97))._fused
