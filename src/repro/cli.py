@@ -46,6 +46,7 @@ import contextlib
 import json
 import os
 import sys
+from typing import Optional
 
 import numpy as np
 
@@ -93,6 +94,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_output_flags(p, verb):
+        p.add_argument(
+            "--format", choices=["hex", "int", "float"], default="hex"
+        )
+        p.add_argument(
+            "--dist", default=None,
+            choices=["uniform01", "normal", "exponential", "integers"],
+            help=f"{verb} typed variates instead of raw words (--format "
+                 "is ignored: floats print as %%.17g, integers as decimals)",
+        )
+        p.add_argument(
+            "--params", default=None, metavar="K=V[,K=V...]",
+            help="distribution parameters, e.g. 'mean=0,std=2' (normal), "
+                 "'rate=1.5' (exponential), 'lo=0,hi=100' (integers)",
+        )
+
+    def add_report_flags(p):
+        p.add_argument(
+            "--json", action="store_true", help="emit the report as JSON"
+        )
+        p.add_argument(
+            "--trace", metavar="FILE.jsonl", default=None,
+            help="additionally write the raw span/metric events to FILE",
+        )
+
     def add_obs_flags(p):
         p.add_argument(
             "--trace", metavar="FILE.jsonl", default=None,
@@ -106,27 +132,13 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("generate", help="emit random numbers")
     gen.add_argument("-n", type=int, default=10, help="how many numbers")
     gen.add_argument("--seed", type=int, default=1)
-    gen.add_argument(
-        "--format", choices=["hex", "int", "float"], default="hex"
-    )
     gen.add_argument("--threads", type=int, default=4096)
     gen.add_argument(
         "--shards", type=int, default=1,
         help="worker processes: > 1 generates on a ShardedEngine pool "
              "(a different, also-reproducible stream for the same seed)",
     )
-    gen.add_argument(
-        "--dist", default=None,
-        choices=["uniform01", "normal", "exponential", "integers"],
-        help="emit typed variates instead of raw words (stream-exact "
-             "samplers over the same word stream; --format is ignored: "
-             "floats print as %%.17g, integers as decimals)",
-    )
-    gen.add_argument(
-        "--params", default=None, metavar="K=V[,K=V...]",
-        help="distribution parameters, e.g. 'mean=0,std=2' (normal), "
-             "'rate=1.5' (exponential), 'lo=0,hi=100' (integers)",
-    )
+    add_output_flags(gen, "emit stream-exact")
     add_obs_flags(gen)
 
     qual = sub.add_parser("quality", help="run a statistical battery")
@@ -160,13 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--async-feed", action="store_true",
         help="produce feed batches on a real background thread",
     )
-    stats.add_argument(
-        "--json", action="store_true", help="emit the report as JSON"
-    )
-    stats.add_argument(
-        "--trace", metavar="FILE.jsonl", default=None,
-        help="additionally write the raw span/metric events to FILE",
-    )
+    add_report_flags(stats)
 
     chaos = sub.add_parser(
         "chaos",
@@ -183,13 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--async-feed", action="store_true",
         help="inject into a real background producer thread",
     )
-    chaos.add_argument(
-        "--json", action="store_true", help="emit the report as JSON"
-    )
-    chaos.add_argument(
-        "--trace", metavar="FILE.jsonl", default=None,
-        help="additionally write the raw span/metric events to FILE",
-    )
+    add_report_flags(chaos)
 
     serve = sub.add_parser(
         "serve",
@@ -306,9 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="session id (stream identity; default: random one-off)",
     )
     fetch.add_argument(
-        "--format", choices=["hex", "int", "float"], default="hex"
-    )
-    fetch.add_argument(
         "--retries", type=int, default=5,
         help="retry budget when the server answers BUSY",
     )
@@ -316,30 +313,24 @@ def build_parser() -> argparse.ArgumentParser:
         "--status", action="store_true",
         help="print the server's STATUS document instead of fetching",
     )
-    fetch.add_argument(
-        "--dist", default=None,
-        choices=["uniform01", "normal", "exponential", "integers"],
-        help="fetch typed variates through the VARIATE op instead of "
-             "raw words (--format is ignored: floats print as %%.17g, "
-             "integers as decimals)",
-    )
-    fetch.add_argument(
-        "--params", default=None, metavar="K=V[,K=V...]",
-        help="distribution parameters, e.g. 'mean=0,std=2' (normal), "
-             "'rate=1.5' (exponential), 'lo=0,hi=100' (integers)",
-    )
+    add_output_flags(fetch, "fetch (VARIATE op)")
     return parser
 
 
-def parse_dist_params(dist: str, spec) -> dict:
+def parse_dist_params(dist, spec) -> dict:
     """``--params 'k=v,k=v'`` -> typed param dict, validated per dist.
 
-    Raises ``ValueError`` on unknown keys, malformed pairs, or values of
-    the wrong kind (``integers`` takes ints, the rest take floats), so
-    both CLI paths reject bad specs before touching a stream or socket.
+    Raises ``ValueError`` on unknown keys, malformed pairs, values of
+    the wrong kind (``integers`` takes ints, the rest take floats), or
+    ``--params`` without ``--dist`` (``dist`` None), so ``generate`` and
+    ``fetch`` reject bad specs before touching a stream or socket.
     """
     from repro.dist import SERVE_DISTRIBUTIONS
 
+    if dist is None:
+        if spec is not None:
+            raise ValueError("--params requires --dist")
+        return {}
     allowed = SERVE_DISTRIBUTIONS[dist]
     params = {}
     if spec:
@@ -390,132 +381,95 @@ def _obs_session(args):
                 sys.stderr.write(obs.prometheus_text(registry))
 
 
-def _emit_variates(out, stream, dist: str, params: dict, n: int) -> None:
-    """Stream ``n`` typed variates to ``out`` in :data:`GENERATE_CHUNK`\\ s.
+def _format_lines(values: np.ndarray, fmt: Optional[str]) -> str:
+    """``values`` one per line, the output format of ``generate``/``fetch``.
 
-    Chunking is invisible in the output: the samplers are stream-exact,
-    so any chunk size prints the same variate sequence.  Floats print as
-    ``%.17g`` (round-trip exact), integer dtypes as decimals.
+    ``fmt`` is ``--format`` for raw words; ``None`` prints typed
+    variates: floats as ``%.17g`` (round-trip exact), integers as
+    decimals.
     """
+    if fmt is None:
+        if values.dtype.kind == "f":
+            return "\n".join(f"{v:.17g}" for v in values)
+        fmt = "int"
+    if fmt == "float":
+        # uniform53's exact values, derived from the same 64-bit words.
+        floats = (values >> np.uint64(11)).astype(np.float64) \
+            * (1.0 / 9007199254740992.0)
+        return "\n".join(f"{v:.17f}" for v in floats)
+    if fmt == "hex":
+        return "\n".join(f"{int(v):#018x}" for v in values)
+    return "\n".join(str(int(v)) for v in values)
+
+
+def _emit(out, fill, n: int, fmt: Optional[str], dist=None,
+          params=None) -> None:
+    """Write ``n`` numbers to ``out``, :data:`GENERATE_CHUNK` per flush.
+
+    ``fill(buf)`` writes the stream's next ``buf.size`` words into
+    ``buf``.  With ``dist`` those words feed a
+    :class:`~repro.dist.DistStream` and typed variates are written
+    instead; the samplers are stream-exact, so the chunking never shows
+    in the output.  Large ``n`` is never held in memory whole, and
+    output flushes as it goes.
+    """
+    if dist is None:
+        # One pooled buffer for the whole run: words are written
+        # straight into it (no per-chunk arrays).
+        buf = np.empty(GENERATE_CHUNK, dtype=np.uint64)
+
+        def chunk(k: int) -> np.ndarray:
+            fill(buf[:k])
+            return buf[:k]
+    else:
+        from repro.dist import DistStream
+
+        def draw(k: int) -> np.ndarray:
+            words = np.empty(k, dtype=np.uint64)
+            fill(words)
+            return words
+
+        stream = DistStream(draw)
+        fmt = None
+
+        def chunk(k: int) -> np.ndarray:
+            return stream.sample(dist, k, params)
     written = 0
     while written < n:
         k = min(GENERATE_CHUNK, n - written)
-        values = stream.sample(dist, k, params)
-        if values.dtype.kind == "f":
-            lines = [f"{v:.17g}" for v in values]
-        else:
-            lines = [str(int(v)) for v in values]
-        out.write("\n".join(lines))
+        out.write(_format_lines(chunk(k), fmt))
         out.write("\n")
         out.flush()
         written += k
 
 
-def _cmd_generate_sharded(args) -> int:
-    """``generate --shards N``: stream from a ShardedEngine pool."""
-    from repro.engine import EngineConfig, ShardedEngine
-
-    config = EngineConfig(
-        seed=args.seed,
-        shards=args.shards,
-        lanes=max(1, args.threads // args.shards),
-        source_factory=GlibcRandom,  # the paper's feed, per shard
-    )
-    out = sys.stdout
-    with _obs_session(args), ShardedEngine(config) as engine:
-        if args.dist is not None:
-            from repro.dist import DistStream
-
-            def draw(n: int) -> np.ndarray:
-                words = np.empty(n, dtype=np.uint64)
-                engine.generate_into(words)
-                return words
-
-            _emit_variates(
-                out, DistStream(draw), args.dist, args.dist_params, args.n
-            )
-            return 0
-        written = 0
-        # One pooled buffer for the whole run: rounds are written into
-        # it straight from the shard rings (no per-chunk arrays).
-        buf = np.empty(GENERATE_CHUNK, dtype=np.uint64)
-        while written < args.n:
-            k = min(GENERATE_CHUNK, args.n - written)
-            values = buf[:k]
-            engine.generate_into(values)
-            if args.format == "float":
-                floats = (values >> np.uint64(11)).astype(np.float64) \
-                    * (1.0 / 9007199254740992.0)
-                lines = [f"{v:.17f}" for v in floats]
-            elif args.format == "hex":
-                lines = [f"{int(v):#018x}" for v in values]
-            else:
-                lines = [str(int(v)) for v in values]
-            out.write("\n".join(lines))
-            out.write("\n")
-            out.flush()
-            written += k
-    return 0
-
-
 def _cmd_generate(args) -> int:
-    args.dist_params = None
-    if args.dist is not None:
-        try:
-            args.dist_params = parse_dist_params(args.dist, args.params)
-        except ValueError as exc:
-            print(f"repro generate: error: {exc}", file=sys.stderr)
-            return 2
-    elif args.params is not None:
-        print("repro generate: error: --params requires --dist",
-              file=sys.stderr)
-        return 2
-    if args.shards > 1:
-        return _cmd_generate_sharded(args)
-    with _obs_session(args) as session:
-        if session is not None:
-            # Route the feed through a BufferedFeed so the trace covers
-            # all three pipeline stages (feed/transfer/generate).  The
-            # feed is value-transparent, so output is identical to the
-            # direct path for the same seed.
-            feed = BufferedFeed(GlibcRandom(args.seed), batch_words=1 << 15)
-            gen = HybridPRNG(
-                seed=args.seed, num_threads=args.threads, bit_source=feed
-            )
-        else:
-            gen = HybridPRNG(seed=args.seed, num_threads=args.threads)
-        if args.dist is not None:
-            from repro.dist import DistStream
+    with _obs_session(args) as session, contextlib.ExitStack() as stack:
+        if args.shards > 1:
+            from repro.engine import EngineConfig, ShardedEngine
 
-            _emit_variates(
-                sys.stdout, DistStream(gen.u64_array),
-                args.dist, args.dist_params, args.n,
-            )
-            return 0
-        # Stream in chunks through one pooled buffer: large -n must not
-        # buffer the whole run in memory, output must flush as it goes,
-        # and rounds are written straight into the pool (no per-chunk
-        # arrays).  The float path derives uniform53's exact values
-        # from the same 64-bit words.
-        out = sys.stdout
-        written = 0
-        buf = np.empty(GENERATE_CHUNK, dtype=np.uint64)
-        while written < args.n:
-            k = min(GENERATE_CHUNK, args.n - written)
-            values = buf[:k]
-            gen.u64_into(values)
-            if args.format == "float":
-                floats = (values >> np.uint64(11)).astype(np.float64) \
-                    * (1.0 / 9007199254740992.0)
-                lines = [f"{v:.17f}" for v in floats]
-            elif args.format == "hex":
-                lines = [f"{int(v):#018x}" for v in values]
-            else:
-                lines = [str(int(v)) for v in values]
-            out.write("\n".join(lines))
-            out.write("\n")
-            out.flush()
-            written += k
+            engine = stack.enter_context(ShardedEngine(EngineConfig(
+                seed=args.seed,
+                shards=args.shards,
+                lanes=max(1, args.threads // args.shards),
+                source_factory=GlibcRandom,  # the paper's feed, per shard
+            )))
+            fill = engine.generate_into
+        else:
+            feed = None
+            if session is not None:
+                # Route the feed through a BufferedFeed so the trace
+                # covers all three pipeline stages (feed/transfer/
+                # generate).  The feed is value-transparent, so output
+                # is identical to the direct path for the same seed.
+                feed = BufferedFeed(
+                    GlibcRandom(args.seed), batch_words=1 << 15
+                )
+            fill = HybridPRNG(
+                seed=args.seed, num_threads=args.threads, bit_source=feed
+            ).u64_into
+        _emit(sys.stdout, fill, args.n, args.format, args.dist,
+              args.dist_params)
     return 0
 
 
@@ -777,17 +731,6 @@ def _cmd_fetch(args) -> int:
     from repro.serve.client import ConnectError, ServeClient
     from repro.serve.protocol import ServeError
 
-    params = {}
-    if args.dist is not None:
-        try:
-            params = parse_dist_params(args.dist, args.params)
-        except ValueError as exc:
-            print(f"repro fetch: error: {exc}", file=sys.stderr)
-            return 2
-    elif args.params is not None:
-        print("repro fetch: error: --params requires --dist",
-              file=sys.stderr)
-        return 2
     try:
         with ServeClient(
             args.host, args.port, session=args.session, retries=args.retries
@@ -796,22 +739,12 @@ def _cmd_fetch(args) -> int:
                 print(json.dumps(client.status(), indent=2, sort_keys=True))
                 return 0
             if args.dist is not None:
-                values = client.fetch_variates(args.dist, args.n, **params)
-                if values.dtype.kind == "f":
-                    lines = [f"{v:.17g}" for v in values]
-                else:
-                    lines = [str(int(v)) for v in values]
-                print("\n".join(lines))
-                return 0
-            if args.format == "float":
-                lines = [f"{v:.17f}" for v in client.random(args.n)]
+                values = client.fetch_variates(
+                    args.dist, args.n, **args.dist_params
+                )
+                print(_format_lines(values, None))
             else:
-                values = client.fetch(args.n)
-                if args.format == "hex":
-                    lines = [f"{int(v):#018x}" for v in values]
-                else:
-                    lines = [str(int(v)) for v in values]
-            print("\n".join(lines))
+                print(_format_lines(client.fetch(args.n), args.format))
     except ConnectError as exc:
         # Connection-level failures exit 2; server-side rejections exit 3.
         print(f"repro fetch: error: {exc}", file=sys.stderr)
@@ -885,6 +818,12 @@ def _cmd_figures(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.command in ("generate", "fetch"):
+        try:
+            args.dist_params = parse_dist_params(args.dist, args.params)
+        except ValueError as exc:
+            print(f"repro {args.command}: error: {exc}", file=sys.stderr)
+            return 2
     try:
         if args.command == "generate":
             return _cmd_generate(args)

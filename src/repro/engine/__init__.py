@@ -14,7 +14,6 @@ from repro.engine.sharded import (
     DEFAULT_ENGINE_LANES,
     DEFAULT_RING_BURST,
     DEFAULT_RING_SLOTS,
-    ENGINE_RETRY_POLICY,
     EngineConfig,
     ShardedEngine,
     serial_reference,
@@ -24,7 +23,6 @@ __all__ = [
     "DEFAULT_ENGINE_LANES",
     "DEFAULT_RING_BURST",
     "DEFAULT_RING_SLOTS",
-    "ENGINE_RETRY_POLICY",
     "EngineConfig",
     "RingHandle",
     "RingWriter",

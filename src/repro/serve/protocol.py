@@ -51,7 +51,10 @@ Typed variates
 A connection whose **first byte is ``{``** switches to the JSON-lines
 debug mode instead: one JSON object per line (``{"op": "fetch",
 "n": 8}``), answered with one JSON object per line.  Same semantics,
-human-typable through ``nc``.
+human-typable through ``nc``: the server decodes both modes into the
+same ``(op, args)`` and answers them with one op handler, and the
+argument rules below (:func:`check_session_id`, :func:`check_count`,
+:func:`check_offset`) are the only ones either mode applies.
 
 This module is shared by the server and both clients; it has no I/O of
 its own beyond ``asyncio`` stream helpers.
@@ -61,6 +64,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import operator
 import socket
 import struct
 import sys
@@ -89,6 +93,10 @@ __all__ = [
     "ProtocolError",
     "ServerBusyError",
     "SessionRequiredError",
+    "check_session_id",
+    "check_count",
+    "check_offset",
+    "check_dist",
     "pack_frame",
     "pack_fetch",
     "pack_hello",
@@ -161,6 +169,71 @@ class SessionRequiredError(ServeError):
 
 
 # ----------------------------------------------------------------------
+# Argument rules (the client encoders and the server's op handler)
+# ----------------------------------------------------------------------
+
+
+def check_session_id(session_id) -> str:
+    """The session-id rule: 1 to :data:`MAX_SESSION_ID_BYTES` bytes of UTF-8.
+
+    Takes the id as it arrived -- wire bytes, or a str from a caller or
+    a JSON message -- and returns it as a str.
+    """
+    try:
+        if isinstance(session_id, bytes):
+            raw, text = session_id, session_id.decode("utf-8")
+        elif isinstance(session_id, str):
+            raw, text = session_id.encode("utf-8"), session_id
+        else:
+            raise ProtocolError(
+                f"session id must be a string, got {session_id!r}"
+            )
+    except UnicodeError as exc:
+        raise ProtocolError(f"session id is not UTF-8: {exc}") from None
+    if not raw:
+        raise ProtocolError("session id must be non-empty")
+    if len(raw) > MAX_SESSION_ID_BYTES:
+        raise ProtocolError(
+            f"session id too long: {len(raw)} > {MAX_SESSION_ID_BYTES} bytes"
+        )
+    return text
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int; a JSON ``true`` is a bool, not a count."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ProtocolError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
+def check_count(count, what: str = "fetch") -> int:
+    """The count rule: an integer in ``[1, MAX_FETCH_COUNT]``."""
+    count = _integer(f"{what} count", count)
+    if not 1 <= count <= MAX_FETCH_COUNT:
+        raise ProtocolError(
+            f"{what} count must be in [1, {MAX_FETCH_COUNT}], got {count}"
+        )
+    return count
+
+
+def check_offset(offset) -> int:
+    """The offset rule: a word offset is an integer in ``[0, 2**64)``."""
+    offset = _integer("offset", offset)
+    if not 0 <= offset < 2**64:
+        raise ProtocolError(f"offset must be a u64, got {offset}")
+    return offset
+
+
+def check_dist(dist) -> str:
+    """A served distribution's name (a key of :data:`DIST_IDS`)."""
+    if not isinstance(dist, str) or dist not in DIST_IDS:
+        raise ProtocolError(
+            f"unknown distribution {dist!r}; choose from {sorted(DIST_IDS)}"
+        )
+    return dist
+
+
+# ----------------------------------------------------------------------
 # Framing
 # ----------------------------------------------------------------------
 
@@ -178,14 +251,7 @@ def pack_frame(opcode: int, payload: bytes = b"") -> bytes:
 
 
 def pack_hello(session_id: str) -> bytes:
-    raw = session_id.encode("utf-8")
-    if not raw:
-        raise ProtocolError("session id must be non-empty")
-    if len(raw) > MAX_SESSION_ID_BYTES:
-        raise ProtocolError(
-            f"session id too long: {len(raw)} > {MAX_SESSION_ID_BYTES} bytes"
-        )
-    return pack_frame(OP_HELLO, raw)
+    return pack_frame(OP_HELLO, check_session_id(session_id).encode("utf-8"))
 
 
 def pack_resume(session_id: str, offset: int) -> bytes:
@@ -196,34 +262,20 @@ def pack_resume(session_id: str, offset: int) -> bytes:
     reconnecting client passes the count of words it has actually
     consumed and the server replays nothing and skips nothing.
     """
-    raw = session_id.encode("utf-8")
-    if not raw:
-        raise ProtocolError("session id must be non-empty")
-    if len(raw) > MAX_SESSION_ID_BYTES:
-        raise ProtocolError(
-            f"session id too long: {len(raw)} > {MAX_SESSION_ID_BYTES} bytes"
-        )
-    if not 0 <= offset < 2**64:
-        raise ProtocolError(f"offset must be a u64, got {offset}")
-    return pack_frame(OP_RESUME, _U64.pack(offset) + raw)
+    raw = check_session_id(session_id).encode("utf-8")
+    return pack_frame(OP_RESUME, _U64.pack(check_offset(offset)) + raw)
 
 
 def unpack_resume(payload: bytes) -> Tuple[str, int]:
     """RESUME payload -> ``(session_id, offset)``."""
-    if len(payload) <= _U64.size:
+    if len(payload) < _U64.size:
         raise ProtocolError("RESUME payload must be 8 offset bytes + id")
-    if len(payload) - _U64.size > MAX_SESSION_ID_BYTES:
-        raise ProtocolError("RESUME session id too long")
     (offset,) = _U64.unpack(payload[:_U64.size])
-    return payload[_U64.size:].decode("utf-8", errors="replace"), offset
+    return check_session_id(payload[_U64.size:]), offset
 
 
 def pack_fetch(count: int) -> bytes:
-    if not 1 <= count <= MAX_FETCH_COUNT:
-        raise ProtocolError(
-            f"fetch count must be in [1, {MAX_FETCH_COUNT}], got {count}"
-        )
-    return pack_frame(OP_FETCH, _U32.pack(count))
+    return pack_frame(OP_FETCH, _U32.pack(check_count(count)))
 
 
 # -- typed variates -----------------------------------------------------
@@ -282,17 +334,10 @@ def _unpack_dist_params(dist: str, raw: bytes) -> dict:
 
 def pack_variate(dist: str, count: int, params: Optional[dict] = None) -> bytes:
     """VARIATE frame: distribution id + count + typed parameters."""
-    if dist not in DIST_IDS:
-        raise ProtocolError(
-            f"unknown distribution {dist!r}; choose from {sorted(DIST_IDS)}"
-        )
-    if not 1 <= count <= MAX_FETCH_COUNT:
-        raise ProtocolError(
-            f"variate count must be in [1, {MAX_FETCH_COUNT}], got {count}"
-        )
+    count = check_count(count, "variate")
     return pack_frame(
         OP_VARIATE,
-        _VARIATE_HEAD.pack(DIST_IDS[dist], count)
+        _VARIATE_HEAD.pack(DIST_IDS[check_dist(dist)], count)
         + _pack_dist_params(dist, params or {}),
     )
 
@@ -305,10 +350,8 @@ def unpack_variate(payload: bytes) -> Tuple[str, int, dict]:
     dist = DIST_NAMES.get(dist_id)
     if dist is None:
         raise ProtocolError(f"unknown distribution id {dist_id}")
-    if not 1 <= count <= MAX_FETCH_COUNT:
-        raise ProtocolError(f"variate count out of range: {count}")
-    params = _unpack_dist_params(dist, payload[_VARIATE_HEAD.size:])
-    return dist, count, params
+    count = check_count(count, "variate")
+    return dist, count, _unpack_dist_params(dist, payload[_VARIATE_HEAD.size:])
 
 
 def variate_values_dtype(dist: str, params: Optional[dict] = None) -> np.dtype:
@@ -328,11 +371,9 @@ def variate_values_dtype(dist: str, params: Optional[dict] = None) -> np.dtype:
 
 def variates_prefix(dist: str, words_consumed: int) -> bytes:
     """The 9-byte VARIATES payload prefix (dist id + word offset)."""
-    if dist not in DIST_IDS:
-        raise ProtocolError(f"unknown distribution {dist!r}")
-    if not 0 <= words_consumed < 2**64:
-        raise ProtocolError(f"word offset must be a u64, got {words_consumed}")
-    return _VARIATES_PREFIX.pack(DIST_IDS[dist], words_consumed)
+    return _VARIATES_PREFIX.pack(
+        DIST_IDS[check_dist(dist)], check_offset(words_consumed)
+    )
 
 
 def variates_payload(values: np.ndarray) -> memoryview:
@@ -446,15 +487,20 @@ def _check_length(body_len: int) -> None:
         )
 
 
-async def read_frame(reader: asyncio.StreamReader) -> Tuple[int, bytes]:
+async def read_frame(
+    reader: asyncio.StreamReader, head: bytes = b""
+) -> Tuple[int, bytes]:
     """Read one frame from an asyncio stream; ``(opcode, payload)``.
 
-    Raises :class:`ProtocolError` on a truncated or oversized frame and
-    ``ConnectionError``-family exceptions as asyncio surfaces them.  A
-    clean EOF *between* frames raises ``asyncio.IncompleteReadError``
-    with nothing read (callers treat that as goodbye).
+    ``head`` is the start of the length prefix when the caller already
+    consumed it (the server sniffs a connection's first byte to pick
+    its wire mode).  Raises :class:`ProtocolError` on an oversized or
+    empty frame and ``ConnectionError``-family exceptions as asyncio
+    surfaces them.  A clean EOF *between* frames raises
+    ``asyncio.IncompleteReadError`` with nothing read (callers treat
+    that as goodbye).
     """
-    header = await reader.readexactly(4)
+    header = head + await reader.readexactly(4 - len(head))
     (body_len,) = _LEN.unpack(header)
     _check_length(body_len)
     body = await reader.readexactly(body_len)

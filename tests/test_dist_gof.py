@@ -8,8 +8,12 @@ integer fails them decisively), not flakiness probes.
 import numpy as np
 import pytest
 import scipy.stats as sps
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.baselines.hybrid_adapter import HybridPRNG
 from repro.baselines.mt19937 import MT19937
+from repro.bitsource import SplitMix64Source
 from repro.dist import DistStream
 from repro.dist.tables import ZIG_R, ZIG_TAIL_SF
 
@@ -45,6 +49,14 @@ class TestNormal:
         assert x.mean() == pytest.approx(3.0, abs=0.05)
         assert x.std() == pytest.approx(2.0, abs=0.05)
 
+    def test_moments_on_expander_stream(self):
+        """The samplers hold on the paper's generator, not only on MT."""
+        gen = HybridPRNG(seed=1, num_threads=1024,
+                         bit_source=SplitMix64Source(1))
+        x = DistStream(gen.u64_array).normal(30_000)
+        assert abs(x.mean()) < 0.03
+        assert abs(x.std() - 1) < 0.03
+
     def test_ziggurat_tail_mass(self):
         """The exact-inversion tail: mass beyond R matches 2*(1-Phi(R)).
 
@@ -79,6 +91,12 @@ class TestExponential:
     def test_strictly_positive(self):
         assert (stream().exponential(N) > 0).all()
 
+    @given(st.floats(min_value=0.1, max_value=20.0))
+    @settings(max_examples=15, deadline=None)
+    def test_mean_any_rate(self, rate):
+        x = stream(int(rate * 1e4)).exponential(60_000, rate=rate)
+        assert x.mean() == pytest.approx(1.0 / rate, rel=0.08)
+
 
 class TestIntegers:
     def test_chi2_uniform(self):
@@ -99,26 +117,3 @@ class TestIntegers:
         x = stream().integers(N, 0, 2**64 - 1)
         high = int(np.count_nonzero(x >= np.uint64(2**63)))
         assert abs(high - N / 2) < 5 * np.sqrt(N / 4)
-
-
-class TestLegacyWrappersAgree:
-    def test_core_normal_is_dist_normal(self):
-        """The deprecated core wrapper is a thin route into repro.dist
-        (Box-Muller for backward compatibility of the stream)."""
-        from repro.core.distributions import normal as core_normal
-
-        legacy = core_normal(MT19937(5), 1001, mean=1.0, std=2.0)
-        direct = stream(5).normal(1001, mean=1.0, std=2.0,
-                                  method="boxmuller")
-        np.testing.assert_array_equal(
-            legacy.view(np.uint64), direct.view(np.uint64)
-        )
-
-    def test_core_exponential_is_dist_exponential(self):
-        from repro.core.distributions import exponential as core_exp
-
-        legacy = core_exp(MT19937(5), 777, rate=1.5)
-        direct = stream(5).exponential(777, rate=1.5)
-        np.testing.assert_array_equal(
-            legacy.view(np.uint64), direct.view(np.uint64)
-        )

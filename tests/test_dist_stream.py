@@ -281,6 +281,16 @@ class TestSampleDispatch:
         assert all(v.size == 0 for v in ds._carry.values())
 
 
+class TestParameterValidation:
+    def test_negative_std_rejected(self):
+        with pytest.raises(ValueError):
+            DistStream(words()).normal(10, std=-1)
+
+    def test_nonpositive_rate_rejected(self):
+        with pytest.raises(ValueError):
+            DistStream(words()).exponential(10, rate=0)
+
+
 class TestZigguratTables:
     def test_self_check(self):
         zt._self_check()

@@ -1,16 +1,9 @@
-"""Cross-cutting coverage: CLI NIST path, distribution/generator combos,
-and small edge cases not exercised elsewhere."""
+"""Cross-cutting coverage: CLI NIST path and small edge cases not
+exercised elsewhere."""
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.baselines.hybrid_adapter import HybridPRNG
-from repro.baselines.mt19937 import MT19937
-from repro.bitsource import SplitMix64Source
 from repro.cli import main
-from repro.core.distributions import exponential, geometric, normal, poisson
 from repro.quality.nist.helpers import igamc_pvalue
 
 
@@ -33,37 +26,6 @@ class TestHelpers:
     def test_igamc_extremes(self):
         assert igamc_pvalue(5, 0.0) == pytest.approx(1.0)
         assert igamc_pvalue(5, 1000.0) < 1e-10
-
-
-class TestDistributionsOnHybrid:
-    """The derived distributions must work on the paper's generator."""
-
-    def test_normal_on_hybrid(self):
-        gen = HybridPRNG(seed=1, num_threads=1024,
-                         bit_source=SplitMix64Source(1))
-        x = normal(gen, 30_000)
-        assert abs(x.mean()) < 0.03
-        assert abs(x.std() - 1) < 0.03
-
-    def test_poisson_on_hybrid(self):
-        gen = HybridPRNG(seed=1, num_threads=1024,
-                         bit_source=SplitMix64Source(2))
-        x = poisson(gen, 20_000, 3.0)
-        assert abs(x.mean() - 3.0) < 0.1
-
-
-class TestDistributionProperties:
-    @given(st.floats(min_value=0.02, max_value=0.98))
-    @settings(max_examples=15, deadline=None)
-    def test_geometric_mean_any_p(self, p):
-        x = geometric(MT19937(int(p * 1e6)), 60_000, p)
-        assert x.mean() == pytest.approx(1.0 / p, rel=0.08)
-
-    @given(st.floats(min_value=0.1, max_value=20.0))
-    @settings(max_examples=15, deadline=None)
-    def test_exponential_mean_any_rate(self, rate):
-        x = exponential(MT19937(int(rate * 1e4)), 60_000, rate)
-        assert x.mean() == pytest.approx(1.0 / rate, rel=0.08)
 
 
 class TestGpusimEdges:

@@ -165,6 +165,8 @@ class TestResumeProtocol:
             pack_resume("x", -1)
         with pytest.raises(ProtocolError):
             unpack_resume(b"\x00" * 8)  # offset but no id
+        with pytest.raises(ProtocolError):
+            unpack_resume(b"\x00" * 8 + b"\xff")  # id not UTF-8
 
 
 # ----------------------------------------------------------------------

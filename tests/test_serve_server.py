@@ -284,6 +284,130 @@ class TestProtocolSurface:
         assert via_json == [int(v) for v in reference]
 
 
+class _Wire:
+    """One raw connection in either wire mode; every reply is a dict.
+
+    Binary HELLOs are framed by hand, so the server's own check is what
+    refuses a bad id.  A value no binary frame can carry (a non-integer
+    count, an offset of 2**64 or more) goes through the protocol
+    encoder, whose refusal is what a binary client sees.
+    """
+
+    def __init__(self, mode, handle):
+        self.mode = mode
+        self.sock = socket.create_connection(
+            (handle.host, handle.port), timeout=10
+        )
+        self.file = self.sock.makefile("rwb")
+
+    def close(self):
+        self.file.close()
+        self.sock.close()
+
+    def ask(self, op, **fields):
+        from repro.serve import protocol as proto
+
+        if self.mode == "json":
+            self.file.write(json.dumps({"op": op, **fields}).encode() + b"\n")
+            self.file.flush()
+            return json.loads(self.file.readline())
+        try:
+            if op == "hello":
+                frame = proto.pack_frame(
+                    proto.OP_HELLO, fields["session"].encode()
+                )
+            elif op == "fetch":
+                frame = proto.pack_fetch(fields["n"])
+            elif op == "resume":
+                frame = proto.pack_resume(fields["session"], fields["offset"])
+            else:
+                frame = proto.pack_frame(proto.OP_STATUS)
+        except proto.ProtocolError as exc:
+            return {"ok": False, "error": f"encoder: {exc}"}
+        self.sock.sendall(frame)
+        opcode, payload = proto.read_frame_socket(self.sock)
+        if opcode == proto.OP_VALUES:
+            values = proto.decode_values(payload).tolist()
+            return {"ok": True, "values": values}
+        if opcode == proto.OP_ERROR:
+            return {"ok": False, "error": payload.decode()}
+        return proto.decode_json_payload(payload)
+
+
+@pytest.fixture(params=["binary", "json"])
+def wire_mode(request):
+    return request.param
+
+
+class TestWireModesShareOneRuleSet:
+    """Both wire modes go through one op handler, so they refuse and
+    count the same requests, and a HELLO acks the session it attached."""
+
+    def test_session_id_over_256_bytes_refused(self, wire_mode):
+        with serve_background(ServeConfig()) as h:
+            wire = _Wire(wire_mode, h)
+            try:
+                assert not wire.ask("hello", session="x" * 257)["ok"]
+            finally:
+                wire.close()
+            wire = _Wire(wire_mode, h)
+            try:
+                assert wire.ask("hello", session="x" * 256)["ok"]
+            finally:
+                wire.close()
+
+    @pytest.mark.parametrize(
+        "offset", [2**64, 2**64 + 5], ids=["2**64", "2**64+5"]
+    )
+    def test_resume_offset_past_u64_refused(self, wire_mode, offset):
+        with serve_background(ServeConfig()) as h:
+            wire = _Wire(wire_mode, h)
+            try:
+                assert not wire.ask("resume", session="r", offset=offset)["ok"]
+                # No session was attached, so nothing can be served.
+                assert not wire.ask("fetch", n=4)["ok"]
+            finally:
+                wire.close()
+
+    def test_non_integer_args_are_client_errors(self, wire_mode):
+        with serve_background(ServeConfig()) as h:
+            wire = _Wire(wire_mode, h)
+            try:
+                assert wire.ask("hello", session="typo")["ok"]
+                for n in ("abc", 2.5, True):
+                    assert not wire.ask("fetch", n=n)["ok"]
+                reply = wire.ask("resume", session="typo", offset="abc")
+                assert not reply["ok"]
+                server = wire.ask("status")["server"]
+            finally:
+                wire.close()
+        assert server["errors_total"] == 0
+        assert server["requests_total"] == 0
+
+    def test_hello_reports_the_recovered_sessions_lanes(
+        self, wire_mode, tmp_path
+    ):
+        journal = str(tmp_path / "serve.journal")
+        with serve_background(ServeConfig(
+            master_seed=5, lanes=16, journal_path=journal
+        )) as h:
+            with ServeClient(h.host, h.port, session="lanes16") as c:
+                head = c.fetch(10)
+        with serve_background(ServeConfig(
+            master_seed=5, lanes=64, journal_path=journal
+        )) as h:
+            wire = _Wire(wire_mode, h)
+            try:
+                ack = wire.ask("hello", session="lanes16")
+                tail = wire.ask("fetch", n=6)["values"]
+            finally:
+                wire.close()
+        assert ack["lanes"] == 16
+        ref = SessionStream("lanes16", master_seed=5, lanes=16).generate(16)
+        np.testing.assert_array_equal(head, ref[:10])
+        assert tail == [int(v) for v in ref[10:]]
+
+
 class TestObservability:
     def test_serve_metrics_flow_through_obs_exporters(self, tmp_path):
         with obs.observed() as (registry, _tracer):
