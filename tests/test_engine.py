@@ -155,6 +155,19 @@ class TestServeIntegration:
         assert desc["active_source"].startswith("engine-shard-")
         assert desc["words_served"] == 100
 
+    @pytest.mark.parametrize("failover", [True, False])
+    def test_worker_and_session_build_the_same_feed(self, failover):
+        """With failover on or off, an engine stream's feed is the chain
+        and retry budget an in-process session builds, so the two fail
+        over (or fail) at the same word."""
+        local = SessionStream("alice", master_seed=9, failover=failover)
+        feed = _make_feed(EngineConfig(failover=failover), local.seed)
+        assert [type(s) for s in feed.chain] == [
+            type(s) for s in local.supervisor.chain
+        ]
+        assert len(feed.chain) == (3 if failover else 1)
+        assert feed.policy == local.supervisor.policy
+
 
 class TestFailure:
     def test_dead_shard_raises_worker_failed(self):
