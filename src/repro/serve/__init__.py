@@ -7,7 +7,7 @@ contract across a network boundary, Shoverand-style: every client
 session gets an **independently seeded, reproducible expander stream**
 (SplitMix64 ``derive_seed`` under the server's master seed, keyed by the
 session id), requests from all sessions are **coalesced into batches**
-on one executor thread off the event loop, and overload is **explicit
+run one at a time on the event loop, and overload is **explicit
 backpressure** (bounded queues, per-session token buckets, ``BUSY``
 responses) instead of unbounded buffering.
 
@@ -17,8 +17,8 @@ Modules
                              debug mode, shared by server and clients;
 :mod:`repro.serve.session`   per-client stream derivation and the
                              supervised feed chain behind each stream;
-:mod:`repro.serve.batching`  request coalescing, the executor thread, and
-                             the token-bucket rate limiter;
+:mod:`repro.serve.batching`  request coalescing, batch execution on the
+                             event loop, and the token-bucket rate limiter;
 :mod:`repro.serve.journal`   the durable append-only session journal
                              behind crash recovery and ``RESUME``;
 :mod:`repro.serve.server`    the asyncio TCP server + background-thread

@@ -147,8 +147,8 @@ class SessionStream:
                 self.supervisor.words64(1)
                 self.supervisor.seek(0)
         self.sentinel = sentinel
-        #: Serializes generation, so batches on the serve executor
-        #: thread and seeks from other threads never interleave a stream.
+        #: Serializes generation, so serve batches (on the event loop)
+        #: and callers on other threads never interleave a stream.
         self.lock = threading.Lock()
         self.words_served = 0
         self.requests = 0
