@@ -33,7 +33,7 @@ jump-ahead -- so respawn cost is independent of stream age and
 
 Health follows :mod:`repro.resilience`: worker feeds run behind
 :class:`~repro.resilience.supervised.SupervisedFeed` failover chains, a
-dead worker surfaces as
+worker that dies or misses its deadline is killed and surfaces as
 :class:`~repro.resilience.errors.WorkerFailedError` (or is respawned
 when ``auto_restart`` is on, with the engine reporting ``DEGRADED``),
 and ``repro_engine_*`` metrics/spans flow through :mod:`repro.obs`.
@@ -50,7 +50,7 @@ import io
 import multiprocessing as mp
 import os
 import pickle
-import queue as queue_mod
+import select
 import struct
 import threading
 import time
@@ -97,7 +97,9 @@ DEFAULT_RING_SLOTS = 4
 #: round-granular -- so the bulk stream is unchanged for any value.
 DEFAULT_RING_BURST = 8
 
-#: Worker poll interval while idle (ring full, no pending requests).
+#: Worker poll interval while idle (ring full, no pending requests) or
+#: while its reply waits on a full pipe; between polls the worker checks
+#: that the process that started it is still there.
 _IDLE_POLL_S = 0.02
 
 #: Slice of every parent-side wait on a worker.  Between slices the
@@ -107,9 +109,10 @@ _IDLE_POLL_S = 0.02
 #: once, so the slice costs nothing on the normal path.
 _LIVENESS_SLICE_S = 0.05
 
-#: Head of every worker reply: the byte lengths of the pickled
-#: ``(status, payload)`` that follows it and of the raw words after that.
-_REPLY_HEAD = struct.Struct("<QQ")
+#: Head of every message on an engine pipe, requests and replies alike:
+#: the byte lengths of the pickled ``(tag, payload)`` that follows it
+#: and of the raw words after that.
+_FRAME_HEAD = struct.Struct("<QQ")
 
 #: Word cap for one fused worker round: bounds the pickled response (a
 #: full message is ~16 MiB of uint64) without limiting batch size --
@@ -145,10 +148,11 @@ class EngineConfig:
     failover: bool = True
     #: Deadline for one round / one fetch response from a worker that is
     #: alive but silent (a dead worker is noticed within a fraction of a
-    #: second); on expiry -> WorkerFailedError.
+    #: second); on expiry the worker is killed, as if it had died.
     fetch_timeout_s: float = 60.0
-    #: Respawn dead workers (deterministic seek to the dead shard's
-    #: position) instead of raising; the engine reports DEGRADED afterwards.
+    #: Respawn dead (or timed-out) workers (deterministic seek to the
+    #: dead shard's position) instead of raising; the engine reports
+    #: DEGRADED afterwards.
     auto_restart: bool = False
     #: Picklable ``seed -> BitSource`` override for the *primary* feed
     #: of every worker bank and stream (fault injection in tests).
@@ -229,6 +233,115 @@ def serial_reference(config: EngineConfig, n: int) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
+# Framed pipes: one wire format, both directions
+# ----------------------------------------------------------------------
+
+class _FrameWriter:
+    """The sending end of a one-way engine pipe, written without blocking.
+
+    :meth:`send` frames one message -- head, pickled ``(tag, payload)``,
+    then the raw words -- and queues it.  The words go out as their own
+    bytes, not inside the pickle, so the reader receives them straight
+    into the array it returns.  Calling the writer is one bounded wait:
+    it writes what the pipe takes and returns ``True`` once everything
+    queued is out, or ``None`` if ``timeout`` passes first.  A reader
+    that is gone raises :class:`BrokenPipeError`.
+    """
+
+    def __init__(self, conn):
+        self.conn = conn
+        os.set_blocking(conn.fileno(), False)
+        self._poll = select.poll()
+        self._poll.register(conn.fileno(), select.POLLOUT)
+        self._views: List[memoryview] = []
+
+    def send(self, tag: str, payload=None,
+             words: Optional[np.ndarray] = None) -> None:
+        meta = pickle.dumps((tag, payload))
+        body = memoryview(b"" if words is None else words).cast("B")
+        self._views += [
+            memoryview(_FRAME_HEAD.pack(len(meta), body.nbytes) + meta), body
+        ]
+
+    def __call__(self, timeout: float) -> Optional[bool]:
+        deadline = time.monotonic() + timeout
+        while self._views:
+            try:
+                sent = os.writev(self.conn.fileno(), self._views)
+            except BlockingIOError:
+                sent = 0
+            while self._views and sent >= self._views[0].nbytes:
+                sent -= self._views.pop(0).nbytes
+            if self._views:
+                self._views[0] = self._views[0][sent:]
+                left = deadline - time.monotonic()
+                if left <= 0 or not self._poll.poll(left * 1000):
+                    return None
+        return True
+
+
+class _FrameReader:
+    """The receiving end of a one-way engine pipe.
+
+    Called as one bounded wait: the next whole message as ``(tag,
+    payload, words)``, or ``None`` if none completes within ``timeout``;
+    :class:`EOFError` once no writer is left.  The pipe is read without
+    blocking, and a half-read message stays here between calls, so a
+    writer that dies part-way through a message -- any message bigger
+    than the pipe buffer can be caught there -- never blocks the
+    reader: the wait just ends, and the caller checks the other process.
+    """
+
+    def __init__(self, conn):
+        self.conn = conn
+        os.set_blocking(conn.fileno(), False)
+        self._pipe = io.FileIO(conn.fileno(), "rb", closefd=False)
+        self._head = bytearray()
+        self._words: Optional[np.ndarray] = None
+        self._filled = 0
+
+    def __call__(self, timeout: float):
+        deadline = time.monotonic() + timeout
+        while True:
+            got = self._read()
+            if got is None:  # nothing in the pipe yet
+                if not self.conn.poll(max(0.0, deadline - time.monotonic())):
+                    return None
+            elif not got:
+                raise EOFError("engine pipe closed by its writer")
+            elif self._words is not None \
+                    and self._filled == self._words.nbytes:
+                tag, payload = pickle.loads(self._head[_FRAME_HEAD.size:])
+                words = self._words
+                self._head, self._words, self._filled = bytearray(), None, 0
+                return tag, payload, words
+
+    def _read(self) -> Optional[int]:
+        """Read what the pipe holds of the current message.
+
+        Returns the bytes read: ``0`` at EOF, ``None`` if the pipe is
+        empty.
+        """
+        if self._words is not None:
+            view = memoryview(self._words).cast("B")
+            got = self._pipe.readinto(view[self._filled:])
+            self._filled += got or 0
+            return got
+        size = _FRAME_HEAD.size
+        if len(self._head) >= size:
+            size += _FRAME_HEAD.unpack_from(self._head)[0]
+        chunk = self._pipe.read(size - len(self._head))
+        if chunk is None:
+            return None
+        self._head += chunk
+        if len(self._head) == size > _FRAME_HEAD.size:
+            # The pickle is in; the words (maybe none) come next.
+            nbytes = _FRAME_HEAD.unpack_from(self._head)[1]
+            self._words = np.empty(nbytes // 8, dtype=np.uint64)
+        return len(chunk)
+
+
+# ----------------------------------------------------------------------
 # Worker process
 # ----------------------------------------------------------------------
 
@@ -241,25 +354,9 @@ def _picklable(exc: BaseException):
         return f"{type(exc).__name__}: {exc}"
 
 
-def _send_reply(out, status: str, payload=None,
-                words: Optional[np.ndarray] = None) -> None:
-    """Write one reply to the parent: head, pickle, then the raw words.
-
-    The words go out as their own bytes, not inside the pickle, so the
-    parent reads them straight into the array it returns.
-    """
-    meta = pickle.dumps((status, payload))
-    body = memoryview(b"" if words is None else words).cast("B")
-    fd = out.fileno()
-    for view in (memoryview(_REPLY_HEAD.pack(len(meta), body.nbytes) + meta),
-                 body):
-        while view:
-            view = view[os.write(fd, view):]
-
-
 def _serve_fetch_round(span_reqs,
                        streams: Dict[Tuple[int, int], AddressableExpanderPRNG],
-                       config: EngineConfig, out) -> None:
+                       config: EngineConfig, reply) -> None:
     """One fused round: every span is generated into a single output
     buffer, back to back, and shipped in one reply.  Spans are
     independent streams, so a failed span is recorded in ``metas``
@@ -290,33 +387,33 @@ def _serve_fetch_round(span_reqs,
             except Exception as exc:  # noqa: BLE001 - shipped per span
                 metas.append(_picklable(exc))
     except Exception as exc:  # noqa: BLE001 - shipped to the caller
-        _send_reply(out, "err", _picklable(exc))
+        reply("err", _picklable(exc))
         return
-    _send_reply(out, "okv", metas, buf[:pos])
+    reply("okv", metas, buf[:pos])
 
 
 def _serve_request(req, streams: Dict[Tuple[int, int], AddressableExpanderPRNG],
-                   config: EngineConfig, out) -> None:
+                   config: EngineConfig, reply) -> None:
     """Handle one request message.
 
-    A ``fetchv`` message batches *all* of the caller's rounds for this
-    shard in one queue put (one pickle/wakeup instead of one per
+    A ``fetchv`` request carries *all* of the caller's rounds for this
+    shard in one message (one pickle and one wakeup instead of one per
     round); replies still go back one per round so no single reply
     exceeds the :data:`MAX_ROUND_WORDS` size budget.
     """
-    op = req[0]
-    if op == "ping":
-        _send_reply(out, "ok")
+    tag, payload, _ = req
+    if tag == "ping":
+        reply("ok")
         return
-    if op != "fetchv":
-        _send_reply(out, "err", f"unknown engine request {op!r}")
+    if tag != "fetchv":
+        reply("err", f"unknown engine request {tag!r}")
         return
-    for span_reqs in req[1]:
-        _serve_fetch_round(span_reqs, streams, config, out)
+    for span_reqs in payload:
+        _serve_fetch_round(span_reqs, streams, config, reply)
 
 
 def _shard_main(config: EngineConfig, shard_index: int,
-                ring_handle: Optional[RingHandle], req_q, out,
+                ring_handle: Optional[RingHandle], requests, replies,
                 resume_rounds: int) -> None:
     """Worker body: produce ring rounds, answer stream fetches.
 
@@ -326,20 +423,35 @@ def _shard_main(config: EngineConfig, shard_index: int,
     3 billion -- and the ring resumes at exactly the round the reader
     expects.
 
-    Replies, the ``ready`` one first, go to ``out``, the write end of
-    a pipe only this worker holds.  A ``None`` on ``req_q`` stops the
-    worker.  Nothing here touches a lock the parent or another worker
-    waits on: a worker SIGKILLed inside a shared ``Event`` would die
-    holding the event's lock, and everyone else would block on it
-    forever.
+    Requests arrive on ``requests``, and replies, the ``ready`` one
+    first, go to ``replies``: two one-way pipes in the same framing.
+    Nothing here touches a lock the parent or another worker waits on:
+    a worker SIGKILLed inside a shared ``Event`` would die holding the
+    event's lock, and everyone else would block on it forever.
+
+    The worker leaves once the process that started it is gone, checked
+    wherever it waits: idle, behind a full ring, or behind a full reply
+    pipe.  EOF on its request pipe cannot tell it that, since under
+    fork it holds a copy of the pipe's write end itself, and so does
+    every worker started after it.
     """
+    parent = mp.parent_process().pid
     bank = _make_bank(config, shard_index) if ring_handle is not None else None
     if bank is not None and resume_rounds:
         bank.seek(resume_rounds * config.lanes)
     writer = ring_handle.attach() if ring_handle is not None else None
     streams: Dict[Tuple[int, int], AddressableExpanderPRNG] = {}
-    _send_reply(out, "ready")
+    inbox, outbox = _FrameReader(requests), _FrameWriter(replies)
+
+    def reply(tag: str, payload=None,
+              words: Optional[np.ndarray] = None) -> None:
+        outbox.send(tag, payload, words)
+        while outbox(_IDLE_POLL_S) is None:
+            if os.getppid() != parent:
+                raise BrokenPipeError("the engine's process is gone")
+
     try:
+        reply("ready")
         while True:
             produced = False
             if writer is not None:
@@ -352,16 +464,13 @@ def _shard_main(config: EngineConfig, shard_index: int,
                     bank.generate_into(slot)
                     writer.commit()
                     produced = True
-            try:
-                if produced:
-                    req = req_q.get(False)
-                else:
-                    req = req_q.get(True, _IDLE_POLL_S)
-            except queue_mod.Empty:
-                continue
-            if req is None:
-                break
-            _serve_request(req, streams, config, out)
+            req = inbox(0.0 if produced else _IDLE_POLL_S)
+            if req is not None:
+                _serve_request(req, streams, config, reply)
+            elif os.getppid() != parent:
+                return
+    except (EOFError, BrokenPipeError):
+        return  # the parent closed this worker's pipes, or is gone
     finally:
         if writer is not None:
             writer.close()
@@ -370,70 +479,6 @@ def _shard_main(config: EngineConfig, shard_index: int,
 # ----------------------------------------------------------------------
 # The engine
 # ----------------------------------------------------------------------
-
-class _Replies:
-    """The parent's end of one worker's reply pipe.
-
-    Called as one bounded wait: the next whole reply as ``(status,
-    payload, words)``, or ``None`` if none completes within
-    ``timeout``.  The pipe is read without blocking, and a half-read
-    reply stays here between calls, so a worker that dies part-way
-    through a reply -- any reply bigger than the pipe buffer can be
-    caught there -- never blocks the parent: the wait just ends, and
-    the caller checks the process.
-    """
-
-    def __init__(self, conn):
-        self.conn = conn
-        os.set_blocking(conn.fileno(), False)
-        self._pipe = io.FileIO(conn.fileno(), "rb", closefd=False)
-        self._head = bytearray()
-        self._words: Optional[np.ndarray] = None
-        self._filled = 0
-
-    def __call__(self, timeout: float):
-        deadline = time.monotonic() + timeout
-        while True:
-            got = self._read()
-            if got is None:  # nothing in the pipe yet
-                if not self.conn.poll(max(0.0, deadline - time.monotonic())):
-                    return None
-            elif not got:
-                return None  # EOF: the worker is gone
-            elif self._words is not None \
-                    and self._filled == self._words.nbytes:
-                status, payload = pickle.loads(self._head[_REPLY_HEAD.size:])
-                words = self._words
-                self._head, self._words, self._filled = bytearray(), None, 0
-                return status, payload, words
-
-    def _read(self) -> Optional[int]:
-        """Read what the pipe holds of the current reply.
-
-        Returns the bytes read: ``0`` at EOF, ``None`` if the pipe is
-        empty.
-        """
-        if self._words is not None:
-            view = memoryview(self._words).cast("B")
-            got = self._pipe.readinto(view[self._filled:])
-            self._filled += got or 0
-            return got
-        size = _REPLY_HEAD.size
-        if len(self._head) >= size:
-            size += _REPLY_HEAD.unpack_from(self._head)[0]
-        chunk = self._pipe.read(size - len(self._head))
-        if chunk is None:
-            return None
-        self._head += chunk
-        if len(self._head) == size > _REPLY_HEAD.size:
-            # The pickle is in; the words (maybe none) come next.
-            nbytes = _REPLY_HEAD.unpack_from(self._head)[1]
-            self._words = np.empty(nbytes // 8, dtype=np.uint64)
-        return len(chunk)
-
-    def close(self) -> None:
-        self.conn.close()
-
 
 class ShardedEngine:
     """A pool of generation shards behind one stream-exact interface.
@@ -456,8 +501,10 @@ class ShardedEngine:
         n = config.shards
         self._procs: List[Optional[mp.Process]] = [None] * n
         self._rings: List[Optional[SharedRing]] = [None] * n
-        self._req_qs: List = [None] * n
-        self._replies: List[Optional[_Replies]] = [None] * n
+        self._requests: List[Optional[_FrameWriter]] = [None] * n
+        self._replies: List[Optional[_FrameReader]] = [None] * n
+        #: Why each shard went down, for every request it then refuses.
+        self._failures: List[Optional[str]] = [None] * n
         #: Rounds of each shard the reader has consumed -- the restart
         #: seek target (a respawned worker jumps straight there).
         self._rounds_consumed = [0] * n
@@ -498,118 +545,122 @@ class ShardedEngine:
             else None
         )
         self._burst_pos[i] = 0
-        req_q = self._ctx.Queue()
-        replies, out = self._ctx.Pipe(duplex=False)
+        requests, to_worker = self._ctx.Pipe(duplex=False)
+        from_worker, replies = self._ctx.Pipe(duplex=False)
         proc = self._ctx.Process(
             target=_shard_main,
-            args=(cfg, i, ring.handle() if ring else None, req_q, out,
+            args=(cfg, i, ring.handle() if ring else None, requests, replies,
                   resume_rounds),
             daemon=True,
             name=f"repro-engine-shard-{i}",
         )
         proc.start()
-        out.close()  # the worker's copy is the only write end
-        self._rings[i], self._req_qs[i] = ring, req_q
-        self._replies[i] = _Replies(replies)
-        self._procs[i] = proc
-        started = self._await_worker(i, self._replies[i])
-        if started is None or not proc.is_alive():
-            alive = proc.is_alive()
-            self._reap(i)
+        requests.close()  # the worker's ends
+        replies.close()
+        self._rings[i], self._procs[i] = ring, proc
+        self._requests[i] = _FrameWriter(to_worker)
+        self._replies[i] = _FrameReader(from_worker)
+        if self._await_worker(i, self._replies[i]) is None:
+            self._reap(i, "during startup")
             raise WorkerFailedError(
-                f"engine shard {i} "
-                + ("timed out during startup"
-                   if alive else "died during startup")
-                + f" (resume_rounds={resume_rounds})",
+                f"engine shard {i} {self._failures[i]} "
+                f"(resume_rounds={resume_rounds})",
                 worker_index=i,
-                attempts=1,
             )
 
-    def _reap(self, i: int) -> None:
-        """Tear down shard ``i``'s process, ring, and queues."""
+    def _reap(self, i: int, doing: Optional[str] = None) -> None:
+        """Kill shard ``i``'s process and release its ring and pipes;
+        ``doing`` names what it failed at, for every error it causes.
+
+        SIGKILL, not SIGTERM: a forked worker inherits the parent's
+        signal handlers, and a SIGTERM to a worker respawned inside
+        ``repro serve`` reaches the server's event loop and shuts the
+        whole server down.
+        """
         proc = self._procs[i]
         if proc is not None:
-            if proc.is_alive():
-                proc.terminate()
+            if doing is not None:
+                self._failures[i] = (
+                    f"timed out {doing} after {self.config.fetch_timeout_s}s"
+                    f" (process alive but unresponsive)"
+                    if proc.is_alive()
+                    else f"died {doing} (exitcode={proc.exitcode})"
+                )
+            proc.kill()
             proc.join(timeout=5)
         if self._rings[i] is not None:
             self._rings[i].close(unlink=True)
-        q = self._req_qs[i]
-        if q is not None:
-            try:
-                q.close()
-                q.cancel_join_thread()
-            except Exception:  # pragma: no cover - platform quirks
-                pass
-        if self._replies[i] is not None:
-            self._replies[i].close()
+        for end in (self._requests[i], self._replies[i]):
+            if end is not None:
+                end.conn.close()
         self._procs[i] = self._rings[i] = None
-        self._req_qs[i] = self._replies[i] = None
-
-    def _revive(self, i: int) -> None:
-        """Replace a dead shard with a deterministic respawn."""
-        obs_metrics.counter(
-            "repro_engine_restarts_total", "Engine shards respawned"
-        ).inc()
-        self.restarts += 1
-        self._reap(i)
-        with span("engine.restart", shard=i,
-                  resume_rounds=self._rounds_consumed[i]):
-            self._spawn(i, resume_rounds=self._rounds_consumed[i])
+        self._requests[i] = self._replies[i] = None
 
     def _await_worker(self, i: int, attempt: Callable[[float], object]):
         """Wait on shard ``i`` in slices, watching its process.
 
         ``attempt(timeout)`` is one bounded wait that returns ``None``
-        when nothing arrived.  Returns its first other result, or
-        ``None`` once the process is dead or ``fetch_timeout_s`` has
-        passed -- the caller then asks :meth:`_shard_down` which.
+        when nothing happened yet.  Returns its first other result, or
+        ``None`` once the process is dead, its end of the pipe is
+        closed or ``fetch_timeout_s`` has passed -- the caller then
+        hands the shard to :meth:`_shard_down`.
         """
         deadline = time.monotonic() + self.config.fetch_timeout_s
         while True:
             left = deadline - time.monotonic()
-            got = attempt(max(0.0, min(_LIVENESS_SLICE_S, left)))
+            try:
+                got = attempt(max(0.0, min(_LIVENESS_SLICE_S, left)))
+            except (EOFError, BrokenPipeError):
+                return None
             if got is not None:
                 return got
             proc = self._procs[i]
             if left <= 0 or proc is None or not proc.is_alive():
                 return None
 
+    def _send(self, i: int, tag: str, payload=None) -> bool:
+        """Write one request to shard ``i``, waiting on a full pipe
+        through :meth:`_await_worker`; ``False`` if the shard is down."""
+        out = self._requests[i]
+        if out is None:
+            return False
+        out.send(tag, payload)
+        return self._await_worker(i, out) is not None
+
     def _shard_down(self, i: int, doing: str) -> None:
-        """A shard missed a deadline: revive it or raise, never hang."""
-        proc = self._procs[i]
-        if proc is not None and proc.is_alive():
+        """Shard ``i`` died or missed ``fetch_timeout_s``: one path for
+        both, never a hang.
+
+        The worker is killed and its pipes are dropped unread, so a late
+        reply can never answer a later request.  With ``auto_restart``
+        the shard is respawned, seeking to where the dead one stopped,
+        and the caller sends the request again (absolute offsets keep
+        that byte-exact); otherwise this raises, and so does every
+        later request to the shard.
+        """
+        self._reap(i, doing)
+        if not self.config.auto_restart or self._closed:
             raise WorkerFailedError(
-                f"engine shard {i} timed out {doing} after "
-                f"{self.config.fetch_timeout_s}s (process alive but "
-                f"unresponsive); no partial results were returned",
+                f"engine shard {i} {self._failures[i]}; no partial "
+                f"results were returned",
                 worker_index=i,
-                attempts=1,
             )
-        if self.config.auto_restart:
-            self._revive(i)
-            return
-        raise WorkerFailedError(
-            f"engine shard {i} died {doing} (exitcode="
-            f"{proc.exitcode if proc is not None else '?'}); "
-            f"no partial results were returned",
-            worker_index=i,
-            attempts=1,
-        )
+        obs_metrics.counter(
+            "repro_engine_restarts_total", "Engine shards respawned"
+        ).inc()
+        self.restarts += 1
+        with span("engine.restart", shard=i,
+                  resume_rounds=self._rounds_consumed[i]):
+            self._spawn(i, resume_rounds=self._rounds_consumed[i])
 
     def close(self) -> None:
-        """Stop all workers and release rings/queues (idempotent)."""
+        """Stop all workers and release rings and pipes (idempotent)."""
         if self._closed:
             return
         self._closed = True
-        for q in self._req_qs:
-            if q is not None:
-                try:
-                    q.put_nowait(None)
-                except Exception:  # pragma: no cover - full/closed queue
-                    pass
         for i in range(self.config.shards):
             self._reap(i)
+        self._failures = ["was closed"] * self.config.shards
 
     def __enter__(self) -> "ShardedEngine":
         return self
@@ -818,24 +869,28 @@ class ShardedEngine:
                     messages[i] = msgs
                 # Dispatch first -- shards run their fused walks
                 # concurrently -- then collect in the same order.  All
-                # of a shard's rounds travel in ONE queue put (one
-                # pickle + one wakeup); the worker still acknowledges
-                # round by round, keeping responses under the word cap.
-                for i in shard_ids:
-                    if messages[i]:
-                        self._req_qs[i].put(
-                            ("fetchv",
-                             [[sp for _, sp in msg] for msg in messages[i]])
-                        )
-                    obs_metrics.counter(
-                        "repro_engine_fused_rounds_total",
-                        "Fused multi-span worker rounds dispatched",
-                    ).inc(len(messages[i]))
+                # of a shard's rounds travel in ONE request (one pickle
+                # and one wakeup); the worker still answers round by
+                # round, keeping replies under the word cap.
+                def rounds(msgs):
+                    return [[sp for _, sp in msg] for msg in msgs]
+
+                sent = {
+                    i: self._send(i, "fetchv", rounds(messages[i]))
+                    for i in shard_ids
+                }
+                obs_metrics.counter(
+                    "repro_engine_fused_rounds_total",
+                    "Fused multi-span worker rounds dispatched",
+                ).inc(sum(len(messages[i]) for i in shard_ids))
                 for i in shard_ids:
                     msgs = messages[i]
                     answered = 0
                     while answered < len(msgs):
-                        reply = self._await_worker(i, self._replies[i])
+                        reply = (
+                            self._await_worker(i, self._replies[i])
+                            if sent[i] else None
+                        )
                         if reply is None:
                             try:
                                 self._shard_down(i, "serving a fused fetch")
@@ -843,17 +898,12 @@ class ShardedEngine:
                                 for msg in msgs[answered:]:
                                     for idx, _ in msg:
                                         results[idx] = exc
-                                answered = len(msgs)
-                                continue
-                            # Revived: the old queues died with the
-                            # worker, so re-dispatch every unanswered
-                            # round -- again as one batched put
-                            # (absolute offsets make the retry
-                            # byte-exact).
-                            self._req_qs[i].put(
-                                ("fetchv",
-                                 [[sp for _, sp in msg]
-                                  for msg in msgs[answered:]])
+                                break
+                            # Revived: send every unanswered round again,
+                            # as one request (absolute offsets make the
+                            # retry byte-exact).
+                            sent[i] = self._send(
+                                i, "fetchv", rounds(msgs[answered:])
                             )
                             continue
                         status, payload, buf = reply
@@ -867,7 +917,6 @@ class ShardedEngine:
                                     f"engine shard {i} failed a fused "
                                     f"fetch: {payload}",
                                     worker_index=i,
-                                    attempts=1,
                                 )
                             )
                             for idx, _ in msg:
@@ -888,7 +937,6 @@ class ShardedEngine:
                                     f"engine shard {i} failed a span: "
                                     f"{meta}",
                                     worker_index=i,
-                                    attempts=1,
                                 )
         finally:
             for i in reversed(acquired):
@@ -923,11 +971,21 @@ class ShardedEngine:
         return result
 
     def ping(self, shard: int) -> bool:
-        """Round-trip a no-op through a shard (health probe)."""
+        """Round-trip a no-op through a shard (health probe).
+
+        A shard that misses it goes down like on any other request:
+        killed, then respawned under ``auto_restart``.
+        """
         with self._shard_locks[shard]:
-            self._req_qs[shard].put(("ping",))
-            reply = self._await_worker(shard, self._replies[shard])
-            return reply is not None and reply[0] == "ok"
+            if self._send(shard, "ping"):
+                reply = self._await_worker(shard, self._replies[shard])
+                if reply is not None:
+                    return reply[0] == "ok"
+            try:
+                self._shard_down(shard, "answering a ping")
+            except WorkerFailedError:
+                pass
+            return False
 
     # -- introspection -------------------------------------------------
 

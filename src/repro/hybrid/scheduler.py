@@ -86,15 +86,6 @@ class HybridScheduler:
     feed_timeout : float or None
         Consumer-wait deadline on the buffered feed; ``None`` waits
         forever (producer death is still detected immediately).
-    shards : int, optional
-        ``> 1`` executes plans on a :class:`repro.engine.ShardedEngine`
-        pool of that many worker processes instead of one in-process
-        bank.  Each shard owns an independent glibc-fed substream of
-        ``seed`` (the engine's stream identity), so the sharded stream
-        is reproducible for ``(seed, shards, lanes)`` but is a
-        *different* sequence than the unsharded one.  Incompatible with
-        ``bit_source`` (a live source object cannot be split across
-        processes).
     """
 
     def __init__(
@@ -108,20 +99,8 @@ class HybridScheduler:
         failover: Optional[Sequence[BitSource]] = None,
         retry_policy: Optional[RetryPolicy] = None,
         feed_timeout: Optional[float] = DEFAULT_GET_TIMEOUT,
-        shards: Optional[int] = None,
     ):
         check_positive("max_threads", max_threads)
-        if shards is not None:
-            check_positive("shards", shards)
-            if bit_source is not None:
-                raise ValueError(
-                    "shards is incompatible with bit_source: a live "
-                    "source cannot be split across worker processes "
-                    "(each shard feeds from its own seed substream)"
-                )
-        self.seed = seed
-        self.shards = shards
-        self._engine = None
         self.costs = costs or PipelineCosts()
         # Pass the seed through untouched: the glibc semantics for seed 0
         # (treated as 1) live inside GlibcRandom, not here.  The previous
@@ -194,7 +173,7 @@ class HybridScheduler:
 
         ``out`` must be a one-dimensional, C-contiguous, writeable
         ``uint64`` array of size ``plan.total_numbers``; rounds are
-        written straight from walker state (or the shard rings) into it.
+        written straight from walker state into it.
         """
         if out.size != plan.total_numbers:
             raise ValueError(
@@ -205,35 +184,11 @@ class HybridScheduler:
         obs_metrics.gauge(
             "repro_scheduler_lanes", "Walker lanes used by the scheduler"
         ).set(lanes)
-        if self.shards is not None and self.shards > 1:
-            self._ensure_engine(lanes).generate_into(out)
-            return
         if self._prng is None or self._prng.num_threads != lanes:
             self._prng = ParallelExpanderPRNG(
                 num_threads=lanes, bit_source=self.feed
             )
         self._prng.generate_into(out, batch_size=plan.batch_size)
-
-    def _ensure_engine(self, lanes: int):
-        """The shard pool for ``lanes`` total lanes (built lazily, reused)."""
-        from repro.engine import EngineConfig, ShardedEngine
-
-        per_shard = max(1, lanes // self.shards)
-        if self._engine is not None \
-                and self._engine.config.lanes != per_shard:
-            self._engine.close()
-            self._engine = None
-        if self._engine is None:
-            self._engine = ShardedEngine(EngineConfig(
-                seed=self.seed,
-                shards=self.shards,
-                lanes=per_shard,
-                # The paper's feed, per shard: each worker seeds its own
-                # GlibcRandom from the shard substream.
-                source_factory=GlibcRandom,
-                supervised=self.supervisor is not None,
-            ))
-        return self._engine
 
     def run(self, total_numbers: int, batch_size: Optional[int] = None):
         """Plan, simulate, and generate; returns (values, plan, prediction)."""
@@ -280,11 +235,8 @@ class HybridScheduler:
         return report
 
     def close(self) -> None:
-        """Stop the background feed thread and the shard pool, if any."""
+        """Stop the background feed thread."""
         self.feed.close()
-        if self._engine is not None:
-            self._engine.close()
-            self._engine = None
 
     def __enter__(self) -> "HybridScheduler":
         return self

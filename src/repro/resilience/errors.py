@@ -7,8 +7,8 @@ what broke and what had already been tried.  Nothing hangs and nothing
 disappears into a bare pool traceback.
 
 This module has no dependencies so that any layer (bit sources, the
-buffered feed, the scheduler, the multiprocessing variant) can raise and
-catch these types without import cycles.
+buffered feed, the scheduler, the sharded engine) can raise and catch
+these types without import cycles.
 """
 
 from __future__ import annotations
@@ -68,28 +68,15 @@ class InjectedFault(ResilienceError):
 
 
 class WorkerFailedError(ResilienceError):
-    """A multiprocessing worker failed even after its retry.
+    """A :class:`~repro.engine.ShardedEngine` shard's worker process
+    died or missed its deadline, or failed a request.
 
     Attributes
     ----------
     worker_index : int
-        Position of the failed job in the worker-major decomposition.
-    attempts : int
-        Total attempts made (initial + retries).
-    cause : BaseException
-        The last exception raised inside the worker.
+        The failed shard.
     """
 
-    def __init__(
-        self,
-        message: str,
-        worker_index: int = -1,
-        attempts: int = 1,
-        cause: Optional[BaseException] = None,
-    ):
+    def __init__(self, message: str, worker_index: int = -1):
         super().__init__(message)
         self.worker_index = worker_index
-        self.attempts = attempts
-        self.cause = cause
-        if cause is not None:
-            self.__cause__ = cause

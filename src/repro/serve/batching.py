@@ -40,7 +40,8 @@ dispatcher resumes only behind the loop's next I/O poll, so what
 arrived meanwhile is read before the next batch starts.  An
 engine-backed batch also holds the loop while its workers answer --
 up to the engine's ``fetch_timeout_s`` for a worker that is alive but
-wedged (a dead one is noticed within a 50 ms wait slice).
+wedged, which is then killed and replaced (a dead one is noticed
+within a 50 ms wait slice).
 
 Execution is *actually* batched: a batch does not run one engine round
 trip per request.  It locks every session in the batch (one total

@@ -5,12 +5,15 @@ import multiprocessing.queues as mp_queues
 import multiprocessing.synchronize as mp_sync
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
 
 import numpy as np
 import pytest
 
+import repro
 from repro.bitsource.counter import SplitMix64Source
 from repro.core.parallel import AddressableExpanderPRNG
 from repro.core.streams import derive_seed
@@ -27,6 +30,15 @@ def kill_shard(eng, i):
     os.kill(proc.pid, signal.SIGKILL)
     proc.join(timeout=5)
     assert not proc.is_alive()
+
+
+def running(pid):
+    """Whether ``pid`` is a live process (a zombie counts as gone)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
 
 
 class TestConfig:
@@ -210,25 +222,26 @@ class TestFailure:
     def test_worker_killed_holding_its_locks_leaves_the_pool_working(
             self, tmp_path):
         """A worker can be SIGKILLed while it holds a multiprocessing
-        lock -- inside ``Event.is_set()``, say.  Simulated at its worst:
-        the stream's first worker takes every lock it can reach in its
-        arguments (those of Events and of its request queue), then
-        kills itself.  None of those may be a lock another worker, a
-        respawn or ``close`` needs: the shard is respawned, the stream
-        stays exact, and close returns.  (Workers that polled a shared
-        stop Event froze here.)"""
+        lock -- inside ``Event.is_set()``, say -- and whoever needs that
+        lock next (another worker, a respawn, ``close``) then blocks for
+        good.  (Workers that polled a shared stop Event froze here.)  So
+        no lock, Event or Queue may reach a serve-only worker: the
+        stream's first worker lists every one in its arguments, or held
+        by them, and kills itself.  The list must be empty, the shard
+        respawned, the stream exact, and close must return."""
         seed, lanes = 41, 8
         died = tmp_path / "died"
+        shared = (mp_sync.SemLock, mp_sync.Event, mp_sync.Condition,
+                  mp_queues.Queue)
 
         def factory(feed_seed):
             if feed_seed == seed and not died.exists():
-                died.touch()
-                for arg in mp.current_process()._args:
-                    if isinstance(arg, mp_sync.Event):
-                        arg._cond.acquire()
-                    elif isinstance(arg, mp_queues.Queue):
-                        arg._rlock.acquire()
-                        arg._wlock.acquire()
+                died.write_text(" ".join(
+                    type(obj).__name__
+                    for arg in mp.current_process()._args
+                    for obj in (arg, *getattr(arg, "__dict__", {}).values())
+                    if isinstance(obj, shared)
+                ))
                 os.kill(os.getpid(), signal.SIGKILL)
             return SplitMix64Source(feed_seed)
 
@@ -242,8 +255,98 @@ class TestFailure:
         with ShardedEngine(cfg) as eng:
             got = eng.fetch_stream(seed, lanes, 64)
             assert eng.restarts == 1
-        assert died.exists()
+        assert died.read_text() == "", "shared locks reached the worker"
         np.testing.assert_array_equal(got, local.generate(64))
+
+    @pytest.mark.parametrize("auto_restart", [True, False])
+    def test_late_reply_never_answers_a_later_request(self, auto_restart):
+        """A worker that misses ``fetch_timeout_s`` is handled as dead:
+        killed, its pipes dropped unread.  Stop the worker, let a fetch
+        of stream 7 time out, resume the worker, then fetch stream 9.
+        The reply to stream 7, written late, must never come back as
+        stream 9's words (in a server that would hand one session's
+        words to another).  Under ``auto_restart`` both fetches are
+        served exactly by a respawned worker; without it, both raise
+        ``WorkerFailedError`` naming the timeout, and so does every
+        later request to the shard."""
+        cfg = EngineConfig(shards=1, lanes=64, ring_slots=0,
+                           fetch_timeout_s=1.0, auto_restart=auto_restart)
+
+        def ref(seed):
+            return AddressableExpanderPRNG(
+                num_threads=64, bit_source=_make_feed(cfg, seed),
+                policy=cfg.policy,
+            ).generate(100)
+
+        with ShardedEngine(cfg) as eng:
+            pid = eng._procs[0].pid
+            os.kill(pid, signal.SIGSTOP)
+            try:
+                if auto_restart:
+                    got7 = eng.fetch_stream(7, 64, 100, offset=0)
+                else:
+                    with pytest.raises(WorkerFailedError,
+                                       match="timed out") as err:
+                        eng.fetch_stream(7, 64, 100, offset=0)
+                    assert err.value.worker_index == 0
+            finally:
+                if running(pid):
+                    os.kill(pid, signal.SIGCONT)
+            assert not running(pid), "the silent worker was left running"
+            if auto_restart:
+                got9 = eng.fetch_stream(9, 64, 100, offset=0)
+                np.testing.assert_array_equal(got7, ref(7))
+                np.testing.assert_array_equal(got9, ref(9))
+                assert eng.restarts == 1
+                assert eng.health == "DEGRADED"
+            else:
+                for _ in range(2):
+                    with pytest.raises(WorkerFailedError, match="timed out"):
+                        eng.fetch_stream(9, 64, 100, offset=0)
+                assert not eng.ping(0)
+                assert eng.health == "FAILED"
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"),
+                        reason="reads process states from /proc")
+    def test_workers_exit_with_the_process_that_started_them(self):
+        """SIGKILL the process that owns an engine: its workers must
+        leave by themselves within 5 s.  (They used to wait for a
+        request that could no longer come, forever, so every kill -9 of
+        an engine-backed server leaked its workers.)  Shard 0 is idle
+        when its parent dies; shard 1 is left writing a 2 MiB reply
+        that nobody reads, which waits on a full pipe."""
+        script = (
+            "import time\n"
+            "from repro.engine import EngineConfig, ShardedEngine\n"
+            "eng = ShardedEngine(EngineConfig(seed=1, shards=2, lanes=64,"
+            " ring_slots=0, auto_restart=True))\n"
+            "eng.fetch_stream(3, 64, 10)\n"
+            "eng._send(1, 'fetchv', [[(3, 64, 0, 1 << 18)]])\n"
+            "print(*(p.pid for p in eng._procs), flush=True)\n"
+            "time.sleep(60)\n"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ,
+                   PYTHONPATH=src + (os.pathsep + path if path else ""))
+        owner = subprocess.Popen([sys.executable, "-c", script], env=env,
+                                 stdout=subprocess.PIPE, text=True)
+        try:
+            pids = [int(pid) for pid in owner.stdout.readline().split()]
+        finally:
+            owner.kill()
+            owner.wait()
+            owner.stdout.close()
+        assert len(pids) == 2
+        deadline = time.monotonic() + 5
+        try:
+            while any(map(running, pids)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(map(running, pids)), \
+                "engine workers outlived the process that started them"
+        finally:
+            for pid in filter(running, pids):
+                os.kill(pid, signal.SIGKILL)
 
     def test_worker_killed_part_way_through_a_reply(self, tmp_path):
         """A reply bigger than the pipe buffer is written only as fast
@@ -479,6 +582,19 @@ class TestFetchSpans:
         np.testing.assert_array_equal(results[0], ref[100:180])
         np.testing.assert_array_equal(results[1], ref[0:90])
         np.testing.assert_array_equal(results[2], ref[300:600])
+
+    def test_request_bigger_than_the_pipe_buffer(self):
+        """A request is written without blocking, in pieces as the worker
+        reads them: 10 000 one-word spans pickle to about 120 KB, well
+        over the 64 KiB pipe buffer, and still come back exact."""
+        seed, lanes, n = 41, 8, 10_000
+        local = AddressableExpanderPRNG(
+            num_threads=lanes, bit_source=_make_feed(CONFIG, seed),
+            policy=CONFIG.policy,
+        )
+        with ShardedEngine(CONFIG) as eng:
+            got = eng.fetch_spans([(seed, lanes, None, 1)] * n)
+        np.testing.assert_array_equal(np.concatenate(got), local.generate(n))
 
     def test_empty_and_invalid_spans(self):
         with ShardedEngine(CONFIG) as eng:

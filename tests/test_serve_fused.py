@@ -425,3 +425,24 @@ class TestFusedStreamContract:
         np.testing.assert_array_equal(np.concatenate([head, tail]), ref)
         assert status["engine"]["restarts"] == 1
         assert status["engine"]["alive"] == [True, True]
+
+    def test_engine_requests_start_no_feeder_thread(self):
+        """Engine requests go over a pipe that the serving thread writes
+        itself: a fetch through an engine-backed server starts no
+        ``multiprocessing.Queue`` feeder thread in the server process
+        (one used to wake, and take the GIL, on every engine refill)."""
+
+        def feeders():
+            return {t for t in threading.enumerate()
+                    if t.name == "QueueFeederThread"}
+
+        before = feeders()
+        config = ServeConfig(master_seed=SEED, engine_shards=2)
+        with serve_background(config) as h:
+            with ServeClient(h.host, h.port, session="no-feeder") as c:
+                got = c.fetch(5000)
+            started = feeders() - before
+        assert not started, f"feeder threads started: {started}"
+        np.testing.assert_array_equal(
+            got, SessionStream("no-feeder", master_seed=SEED).generate(5000)
+        )
