@@ -6,7 +6,8 @@ patterns -- one steady, one ragged -- and byte-compares the results.
 Any divergence (a fetch-size leak, a nondeterministic shard interleave,
 a remainder bug) exits non-zero so the CI ``engine`` job fails loudly.
 
-A third pass checks the named-stream serving path the same way.
+A third pass checks the named-stream serving path the same way.  A
+named stream is read by absolute offset, so that pass tracks its own.
 
 Usage::
 
@@ -24,14 +25,15 @@ import numpy as np
 from repro.engine import EngineConfig, ShardedEngine
 
 
-def fetch_pattern(generate, total: int, sizes) -> np.ndarray:
-    """Drain ``total`` numbers with a repeating fetch-size pattern."""
+def fetch_pattern(read, total: int, sizes) -> np.ndarray:
+    """Drain ``total`` numbers with a repeating fetch-size pattern;
+    ``read(offset, n)`` returns the ``n`` numbers from ``offset`` on."""
     parts = []
     got = 0
     i = 0
     while got < total:
         n = min(sizes[i % len(sizes)], total - got)
-        parts.append(generate(n))
+        parts.append(read(got, n))
         got += n
         i += 1
     return np.concatenate(parts)
@@ -43,9 +45,9 @@ def run_gate(numbers: int, seed: int, shards: int, lanes: int) -> int:
     ragged = [1, 65537, 300, 8191, 17]
 
     with ShardedEngine(config) as eng:
-        a = fetch_pattern(eng.generate, numbers, steady)
+        a = fetch_pattern(lambda _, n: eng.generate(n), numbers, steady)
     with ShardedEngine(config) as eng:
-        b = fetch_pattern(eng.generate, numbers, ragged)
+        b = fetch_pattern(lambda _, n: eng.generate(n), numbers, ragged)
     if not np.array_equal(a, b):
         first = int(np.flatnonzero(a != b)[0])
         print(
@@ -61,11 +63,13 @@ def run_gate(numbers: int, seed: int, shards: int, lanes: int) -> int:
     stream_n = min(numbers, 1 << 16)
     with ShardedEngine(config) as eng:
         c = fetch_pattern(
-            lambda n: eng.fetch_stream(7, 64, n), stream_n, [256]
+            lambda offset, n: eng.fetch_stream(7, 64, n, offset),
+            stream_n, [256],
         )
     with ShardedEngine(config) as eng:
         d = fetch_pattern(
-            lambda n: eng.fetch_stream(7, 64, n), stream_n, [1, 999, 64]
+            lambda offset, n: eng.fetch_stream(7, 64, n, offset),
+            stream_n, [1, 999, 64],
         )
     if not np.array_equal(c, d):
         print(

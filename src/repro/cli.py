@@ -711,11 +711,12 @@ def _cmd_serve(args) -> int:
                 if not fut.cancelled() and fut.exception() is not None:
                     raise fut.exception()
         finally:
+            health = server.health  # aclose() closes the engine
             await server.aclose()
             print(
                 f"repro serve: stopped after {server.requests_total} "
                 f"requests, {server.numbers_total} numbers, "
-                f"{server.busy_total} busy, health {server.health}",
+                f"{server.busy_total} busy, health {health}",
                 file=sys.stderr,
             )
 

@@ -1,8 +1,8 @@
 """Process-sharded generation behind one canonical stream.
 
 :class:`ShardedEngine` runs ``shards`` worker processes.  Worker ``i``
-owns a :class:`~repro.core.parallel.ParallelExpanderPRNG` walker bank --
-the lane range ``[i * lanes, (i + 1) * lanes)`` of a virtual global
+owns a :class:`~repro.core.parallel.AddressableExpanderPRNG` walker bank
+-- the lane range ``[i * lanes, (i + 1) * lanes)`` of a virtual global
 bank -- fed by the master seed's substream ``derive_seed(seed, i)``, so
 shards are exactly as independent as any two
 :func:`~repro.core.streams.spawn_streams` substreams.  Each worker
@@ -18,18 +18,19 @@ policy)`` -- :func:`serial_reference` produces the identical values in
 process, and ``generate`` buffers round remainders so fetch sizing
 cannot change it (the same stream contract the core obeys).
 
-Workers also answer **named stream fetches** (the serving path): a
-fetch names a ``(stream_seed, lanes)`` stream, is routed to the shard
-``stream_seed % shards``, and is served from a per-stream walker bank
-inside that worker -- byte-identical to running the same bank in
+Workers also answer **named stream reads** (the serving path): a read
+``(stream_seed, lanes, offset, count)`` names a stream, is routed to the
+shard ``stream_seed % shards``, and is served from a per-stream walker
+bank inside that worker -- byte-identical to running the same bank in
 process, which is what lets ``repro.serve`` sessions move onto the
 shard pool without changing a single client-visible value.  Banks are
 :class:`~repro.core.parallel.AddressableExpanderPRNG` streams (the
-engine requires a fixed-consumption policy), and every fetch carries
-the stream's **absolute word offset**: a worker whose bank is at a
-different position seeks there directly -- O(log offset) via the feed
-jump-ahead -- so respawn cost is independent of stream age and
-``fetch_stream(..., offset=...)`` serves any slice without replay.
+engine requires a fixed-consumption policy), and a read is a pure
+function of its four numbers: the engine keeps no position of its own
+for a named stream.  A worker whose bank is at a different position
+seeks to the read's offset directly -- O(log offset) via the feed
+jump-ahead -- so respawn cost is independent of stream age and any
+slice is served without replay.
 
 Health follows :mod:`repro.resilience`: worker feeds run behind
 :class:`~repro.resilience.supervised.SupervisedFeed` failover chains, a
@@ -38,10 +39,10 @@ worker that dies or misses its deadline is killed and surfaces as
 when ``auto_restart`` is on, with the engine reporting ``DEGRADED``),
 and ``repro_engine_*`` metrics/spans flow through :mod:`repro.obs`.
 
-NOTE: wall-clock speedup requires actual cores; on a single-core
-container (such as the reproduction environment) the decomposition is
-correct but not faster -- ``benchmarks/bench_engine_scaling.py``
-measures the scaling where cores exist.
+NOTE: wall-clock speedup needs a core per shard; the reproduction host
+has two, so shards beyond two share them --
+``benchmarks/bench_engine_scaling.py`` measures the scaling where cores
+exist.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ import multiprocessing as mp
 import os
 import pickle
 import select
+import signal
 import struct
 import threading
 import time
@@ -114,9 +116,9 @@ _LIVENESS_SLICE_S = 0.05
 #: and of the raw words after that.
 _FRAME_HEAD = struct.Struct("<QQ")
 
-#: Word cap for one fused worker round: bounds the pickled response (a
-#: full message is ~16 MiB of uint64) without limiting batch size --
-#: overflow just becomes another round on the same shard.
+#: Word cap for one ring burst (16 MiB of uint64): ``ring_burst`` is cut
+#: back so one slot never holds more.  Named-stream reads have no cap:
+#: a shard's reply carries all of its spans, however many words.
 MAX_ROUND_WORDS = 1 << 21
 
 
@@ -193,19 +195,11 @@ def _make_feed(config: EngineConfig, feed_seed: int) -> BitSource:
     return stream_feed(factory(feed_seed), feed_seed, config.failover)
 
 
-def _make_bank(config: EngineConfig, shard_index: int) -> AddressableExpanderPRNG:
-    """Shard ``shard_index``'s bulk walker bank (offset-addressable)."""
-    return AddressableExpanderPRNG(
-        num_threads=config.lanes,
-        bit_source=_make_feed(config, derive_seed(config.seed, shard_index)),
-        walk_length=config.walk_length,
-        policy=config.policy,
-    )
-
-
 def _make_stream(config: EngineConfig, stream_seed: int,
                  lanes: int) -> AddressableExpanderPRNG:
-    """A named stream's walker bank (identical to an in-process one)."""
+    """The walker bank of the stream ``(stream_seed, lanes)``, identical
+    to an in-process one.  Shard ``i``'s bulk bank is the stream
+    ``(derive_seed(config.seed, i), config.lanes)``."""
     return AddressableExpanderPRNG(
         num_threads=lanes,
         bit_source=_make_feed(config, stream_seed),
@@ -221,7 +215,10 @@ def serial_reference(config: EngineConfig, n: int) -> np.ndarray:
     ``r`` of the engine is shard 0's round ``r``, then shard 1's, ...
     """
     check_positive("n", n)
-    banks = [_make_bank(config, i) for i in range(config.shards)]
+    banks = [
+        _make_stream(config, derive_seed(config.seed, i), config.lanes)
+        for i in range(config.shards)
+    ]
     parts: List[np.ndarray] = []
     total = 0
     while total < n:
@@ -354,19 +351,24 @@ def _picklable(exc: BaseException):
         return f"{type(exc).__name__}: {exc}"
 
 
-def _serve_fetch_round(span_reqs,
-                       streams: Dict[Tuple[int, int], AddressableExpanderPRNG],
-                       config: EngineConfig, reply) -> None:
-    """One fused round: every span is generated into a single output
-    buffer, back to back, and shipped in one reply.  Spans are
-    independent streams, so a failed span is recorded in ``metas``
-    (its slot in the buffer is simply not filled) and the rest of
-    the round still succeeds.  Always sends exactly one reply."""
+def _serve_request(req, streams: Dict[Tuple[int, int], AddressableExpanderPRNG],
+                   config: EngineConfig, reply) -> None:
+    """Answer one ``("fetch", spans)`` request with exactly one reply.
+
+    The request carries all of the caller's spans for this shard, and
+    every span is generated into one output buffer, back to back, and
+    shipped as one ``okv`` reply.  Spans are independent streams, so a
+    failed span is recorded in ``metas`` (its slot in the buffer is
+    simply not filled) and the rest of the request still succeeds.
+    """
+    tag, spans, _ = req
     try:
-        buf = np.empty(sum(s[3] for s in span_reqs), dtype=np.uint64)
+        if tag != "fetch":
+            raise ValueError(f"unknown engine request {tag!r}")
+        buf = np.empty(sum(s[3] for s in spans), dtype=np.uint64)
         metas: list = []
         pos = 0
-        for stream_seed, lanes, offset, n in span_reqs:
+        for stream_seed, lanes, offset, n in spans:
             try:
                 key = (stream_seed, lanes)
                 prng = streams.get(key)
@@ -376,7 +378,7 @@ def _serve_fetch_round(span_reqs,
                     )
                 if prng.tell() != offset:
                     # Fresh worker behind a long-lived stream (post-
-                    # restart), or an explicit-offset fetch: jump
+                    # restart), or a read elsewhere in the stream: jump
                     # straight there -- O(log offset), never a replay
                     # of the already-served prefix.
                     prng.seek(offset)
@@ -390,26 +392,6 @@ def _serve_fetch_round(span_reqs,
         reply("err", _picklable(exc))
         return
     reply("okv", metas, buf[:pos])
-
-
-def _serve_request(req, streams: Dict[Tuple[int, int], AddressableExpanderPRNG],
-                   config: EngineConfig, reply) -> None:
-    """Handle one request message.
-
-    A ``fetchv`` request carries *all* of the caller's rounds for this
-    shard in one message (one pickle and one wakeup instead of one per
-    round); replies still go back one per round so no single reply
-    exceeds the :data:`MAX_ROUND_WORDS` size budget.
-    """
-    tag, payload, _ = req
-    if tag == "ping":
-        reply("ok")
-        return
-    if tag != "fetchv":
-        reply("err", f"unknown engine request {tag!r}")
-        return
-    for span_reqs in payload:
-        _serve_fetch_round(span_reqs, streams, config, reply)
 
 
 def _shard_main(config: EngineConfig, shard_index: int,
@@ -434,9 +416,20 @@ def _shard_main(config: EngineConfig, shard_index: int,
     pipe.  EOF on its request pipe cannot tell it that, since under
     fork it holds a copy of the pipe's write end itself, and so does
     every worker started after it.
+
+    A forked worker also inherits the event loop's signal handlers and
+    wakeup fd, through which a SIGTERM to it would shut ``repro serve``
+    down: so SIGTERM and SIGINT go back to their defaults first.
     """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+    signal.set_wakeup_fd(-1)
     parent = mp.parent_process().pid
-    bank = _make_bank(config, shard_index) if ring_handle is not None else None
+    bank = (
+        _make_stream(config, derive_seed(config.seed, shard_index),
+                     config.lanes)
+        if ring_handle is not None else None
+    )
     if bank is not None and resume_rounds:
         bank.seek(resume_rounds * config.lanes)
     writer = ring_handle.attach() if ring_handle is not None else None
@@ -515,9 +508,6 @@ class ShardedEngine:
         #: ``_rounds_consumed[i]``, so the partially-read burst that
         #: died with the old ring is regenerated from its unread round.
         self._burst_pos = [0] * n
-        #: Next word offset per (stream_seed, lanes) -- where a fetch
-        #: without an explicit ``offset`` continues from.
-        self._stream_words: Dict[Tuple[int, int], int] = {}
         self._shard_locks = [threading.Lock() for _ in range(n)]
         self._gen_lock = threading.Lock()
         self._remainder = np.empty(0, dtype=np.uint64)
@@ -572,10 +562,8 @@ class ShardedEngine:
         """Kill shard ``i``'s process and release its ring and pipes;
         ``doing`` names what it failed at, for every error it causes.
 
-        SIGKILL, not SIGTERM: a forked worker inherits the parent's
-        signal handlers, and a SIGTERM to a worker respawned inside
-        ``repro serve`` reaches the server's event loop and shuts the
-        whole server down.
+        SIGKILL, not SIGTERM: it also ends a worker that is stopped, and
+        a worker has nothing to clean up that this does not release.
         """
         proc = self._procs[i]
         if proc is not None:
@@ -795,23 +783,22 @@ class ShardedEngine:
         return stream_seed % self.config.shards
 
     def fetch_spans(
-        self, spans: List[Tuple[int, int, Optional[int], int]]
+        self, spans: List[Tuple[int, int, int, int]]
     ) -> List[object]:
-        """Serve many named-stream spans in a handful of fused rounds.
+        """Serve many named-stream reads, one request and one reply per
+        shard.
 
         ``spans`` is a sequence of ``(stream_seed, lanes, offset,
-        count)`` tuples (``offset=None`` continues where the previous
-        fetch of that stream left off).  Spans are grouped by owning
-        shard, packed into per-shard ``fetchv`` rounds capped at
-        :data:`MAX_ROUND_WORDS` words, dispatched to **all** shards
-        up front (so shards generate concurrently), and collected in
-        order.  Returns a list aligned with ``spans``: a ``uint64``
+        count)`` tuples, each a pure read of ``count`` words of the
+        stream ``(stream_seed, lanes)`` from the absolute word
+        ``offset``.  Returns a list aligned with ``spans``: a ``uint64``
         array per served span, or an ``Exception`` instance for a span
         that failed -- callers decide whether a partial batch is fatal.
 
-        Every dispatched span carries an absolute word offset, so a
-        shard revived mid-batch just re-serves its unanswered rounds
-        byte-identically (the no-partial-results contract per span).
+        A shard that dies or misses ``fetch_timeout_s`` is killed, then
+        respawned and sent the same request again under
+        ``auto_restart`` (absolute offsets keep that byte-exact);
+        otherwise every span it owned gets its WorkerFailedError.
         Thread-safe: shard locks are taken in ascending shard order,
         the same total order every other engine entry point uses.
         """
@@ -823,9 +810,10 @@ class ShardedEngine:
             if n < 0:
                 raise ValueError(f"count must be non-negative, got {n}")
             check_positive("lanes", lanes)
-            if offset is not None and offset < 0:
+            if offset is None or offset < 0:
                 raise ValueError(
-                    f"offset must be non-negative, got {offset}"
+                    f"offset must be a non-negative word offset, "
+                    f"got {offset}"
                 )
         by_shard: Dict[int, List[int]] = {}
         for idx, sp in enumerate(spans):
@@ -839,105 +827,38 @@ class ShardedEngine:
                 acquired.append(i)
             with span("engine.fetch_spans", shards=len(shard_ids),
                       spans=len(spans), words=total_words):
-                # Resolve continuation offsets and pack each shard's
-                # spans into rounds under the word cap.  ``cursor``
-                # makes two offset=None spans of the same stream in one
-                # batch contiguous.
-                cursor: Dict[Tuple[int, int], int] = {}
-                messages: Dict[int, List[list]] = {}
-                for i in shard_ids:
-                    msgs: List[list] = []
-                    cur: list = []
-                    cur_words = 0
-                    for idx in by_shard[i]:
-                        stream_seed, lanes, offset, n = spans[idx]
-                        key = (stream_seed, lanes)
-                        start = (
-                            offset if offset is not None
-                            else cursor.get(
-                                key, self._stream_words.get(key, 0)
-                            )
-                        )
-                        cursor[key] = start + n
-                        if cur and cur_words + n > MAX_ROUND_WORDS:
-                            msgs.append(cur)
-                            cur, cur_words = [], 0
-                        cur.append((idx, (stream_seed, lanes, start, n)))
-                        cur_words += n
-                    if cur:
-                        msgs.append(cur)
-                    messages[i] = msgs
-                # Dispatch first -- shards run their fused walks
-                # concurrently -- then collect in the same order.  All
-                # of a shard's rounds travel in ONE request (one pickle
-                # and one wakeup); the worker still answers round by
-                # round, keeping replies under the word cap.
-                def rounds(msgs):
-                    return [[sp for _, sp in msg] for msg in msgs]
-
-                sent = {
-                    i: self._send(i, "fetchv", rounds(messages[i]))
-                    for i in shard_ids
+                # Every request goes out before any reply is read, so
+                # the shards generate concurrently.
+                requests = {
+                    i: [spans[idx] for idx in by_shard[i]] for i in shard_ids
                 }
+                sent = {i: self._send(i, "fetch", requests[i])
+                        for i in shard_ids}
                 obs_metrics.counter(
                     "repro_engine_fused_rounds_total",
-                    "Fused multi-span worker rounds dispatched",
-                ).inc(sum(len(messages[i]) for i in shard_ids))
+                    "Fused multi-span worker requests dispatched",
+                ).inc(len(shard_ids))
                 for i in shard_ids:
-                    msgs = messages[i]
-                    answered = 0
-                    while answered < len(msgs):
-                        reply = (
-                            self._await_worker(i, self._replies[i])
-                            if sent[i] else None
+                    try:
+                        status, metas, words = self._await_reply(
+                            i, requests[i], sent[i]
                         )
-                        if reply is None:
-                            try:
-                                self._shard_down(i, "serving a fused fetch")
-                            except WorkerFailedError as exc:
-                                for msg in msgs[answered:]:
-                                    for idx, _ in msg:
-                                        results[idx] = exc
-                                break
-                            # Revived: send every unanswered round again,
-                            # as one request (absolute offsets make the
-                            # retry byte-exact).
-                            sent[i] = self._send(
-                                i, "fetchv", rounds(msgs[answered:])
+                    except WorkerFailedError as exc:
+                        status, metas = "err", exc
+                    if status == "err":  # the whole request failed
+                        metas = [metas] * len(by_shard[i])
+                    pos = 0
+                    for idx, meta in zip(by_shard[i], metas):
+                        if isinstance(meta, int):
+                            results[idx] = words[pos:pos + meta]
+                            pos += meta
+                        elif isinstance(meta, BaseException):
+                            results[idx] = meta
+                        else:
+                            results[idx] = WorkerFailedError(
+                                f"engine shard {i} failed a span: {meta}",
+                                worker_index=i,
                             )
-                            continue
-                        status, payload, buf = reply
-                        msg = msgs[answered]
-                        answered += 1
-                        if status == "err":
-                            exc = (
-                                payload
-                                if isinstance(payload, BaseException)
-                                else WorkerFailedError(
-                                    f"engine shard {i} failed a fused "
-                                    f"fetch: {payload}",
-                                    worker_index=i,
-                                )
-                            )
-                            for idx, _ in msg:
-                                results[idx] = exc
-                            continue
-                        pos = 0
-                        for (idx, (stream_seed, lanes, start, n)), meta \
-                                in zip(msg, payload):
-                            if isinstance(meta, int):
-                                results[idx] = buf[pos:pos + meta]
-                                pos += meta
-                                self._stream_words[(stream_seed, lanes)] \
-                                    = start + n
-                            elif isinstance(meta, BaseException):
-                                results[idx] = meta
-                            else:
-                                results[idx] = WorkerFailedError(
-                                    f"engine shard {i} failed a span: "
-                                    f"{meta}",
-                                    worker_index=i,
-                                )
         finally:
             for i in reversed(acquired):
                 self._shard_locks[i].release()
@@ -950,42 +871,33 @@ class ShardedEngine:
         ).inc(served)
         return results
 
+    def _await_reply(self, i: int, request: list, sent: bool):
+        """Shard ``i``'s one reply to ``request``, which ``sent`` says
+        went out.  A shard that misses it goes down; once respawned it
+        is sent the same request again, and without ``auto_restart``
+        its :class:`WorkerFailedError` is raised.  Caller holds the
+        shard's lock."""
+        while True:
+            reply = self._await_worker(i, self._replies[i]) if sent else None
+            if reply is not None:
+                return reply
+            self._shard_down(i, "serving a fetch")
+            sent = self._send(i, "fetch", request)
+
     def fetch_stream(self, stream_seed: int, lanes: int, n: int,
-                     offset: Optional[int] = None) -> np.ndarray:
-        """``n`` numbers of the named stream (thread-safe).
+                     offset: int) -> np.ndarray:
+        """Words ``[offset, offset + n)`` of the named stream
+        (thread-safe): a one-span :meth:`fetch_spans` call.
 
-        Byte-identical to ``AddressableExpanderPRNG(num_threads=lanes,
-        bit_source=<same feed chain>(stream_seed)).generate(...)`` run
-        in process, regardless of fetch sizing or worker restarts.
-
-        ``offset`` names the absolute word offset to serve from; the
-        default continues where the previous fetch of this stream left
-        off.  Every request ships an absolute offset to the worker, so
-        an arbitrary slice -- including one before the current position
-        -- costs one O(log offset) seek, never a replay.  A single-span
-        :meth:`fetch_spans` round under the hood.
+        Byte-identical to the same ``AddressableExpanderPRNG`` bank run
+        in process and read at ``offset``, whatever the fetch sizing or
+        worker restarts; any slice costs one O(log offset) seek, never
+        a replay.
         """
         [result] = self.fetch_spans([(stream_seed, lanes, offset, n)])
         if isinstance(result, BaseException):
             raise result
         return result
-
-    def ping(self, shard: int) -> bool:
-        """Round-trip a no-op through a shard (health probe).
-
-        A shard that misses it goes down like on any other request:
-        killed, then respawned under ``auto_restart``.
-        """
-        with self._shard_locks[shard]:
-            if self._send(shard, "ping"):
-                reply = self._await_worker(shard, self._replies[shard])
-                if reply is not None:
-                    return reply[0] == "ok"
-            try:
-                self._shard_down(shard, "answering a ping")
-            except WorkerFailedError:
-                pass
-            return False
 
     # -- introspection -------------------------------------------------
 
@@ -1011,7 +923,6 @@ class ShardedEngine:
             "policy": self.config.policy,
             "ring_burst": self._burst,
             "rounds_assembled": self.rounds_assembled,
-            "streams": len(self._stream_words),
             "restarts": self.restarts,
             "alive": self.shards_alive,
             "health": self.health,

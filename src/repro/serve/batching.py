@@ -50,8 +50,8 @@ its readahead buffer
 (:meth:`~repro.serve.session.SessionStream.plan_fill`, raw counts plus
 conservative variate word estimates), fuses every engine-backed
 session's ``(stream, offset, count)`` span into **one**
-:meth:`~repro.engine.sharded.ShardedEngine.fetch_spans` round (a
-handful of capped worker messages), scatters the returned buffers into
+:meth:`~repro.engine.sharded.ShardedEngine.fetch_spans` round (one
+request and one reply per engine shard), scatters the returned buffers into
 the sessions' readahead buffers, and then serves each request from
 buffer -- raw fetches as zero-copy views handed to the framing path,
 variates sampled on scatter through the same word stream.  Word
@@ -376,8 +376,8 @@ class BatchingExecutor:
         Caller holds every session's lock.  Each session's estimated
         word demand beyond its buffer becomes one ``(stream, offset,
         count)`` span; all spans against the same engine go out as one
-        :meth:`fetch_spans` call (the engine packs them into capped
-        worker rounds), and each returned buffer lands in its session's
+        :meth:`fetch_spans` call (one request and one reply per
+        shard), and each returned buffer lands in its session's
         readahead deque -- the serve step then slices zero-copy views
         out of it.  In-process sessions with readahead prefill from
         their own bank; a failed span is simply skipped here, and the

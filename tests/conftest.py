@@ -4,9 +4,12 @@ The per-test hang guard (default timeout) lives in the repository-root
 ``conftest.py`` so it also covers the benchmarks directory.
 """
 
+import os
+
 import numpy as np
 import pytest
 
+import repro
 from repro.core.expander import GabberGalilExpander
 
 
@@ -20,6 +23,15 @@ def small_graph():
 def native_graph():
     """The paper's graph: m = 2**32, 64-bit vertex ids."""
     return GabberGalilExpander()
+
+
+@pytest.fixture
+def repro_env():
+    """Environment for a subprocess that imports this checkout's repro."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ,
+                PYTHONPATH=src + (os.pathsep + path if path else ""))
 
 
 @pytest.fixture

@@ -1,6 +1,11 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -294,6 +299,98 @@ class TestFetchCommand:
                        "--session", "big", "-n", "100"])
         assert rc == 3
         assert "fetch count" in capsys.readouterr().err
+
+
+def start_serve(env, *args):
+    """``repro serve --port 0 ARGS`` as a subprocess run in ``env``;
+    returns it and the port it reports listening on."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0", *args],
+        env=env, stderr=subprocess.PIPE, text=True,
+    )
+    for line in proc.stderr:
+        if "listening on" in line:
+            return proc, int(line.split()[4].rsplit(":", 1)[1])
+    proc.wait()
+    raise AssertionError(f"repro serve exited with {proc.returncode}")
+
+
+def live_children(pid):
+    """Pids of the live (not zombie) children of ``pid``, from /proc."""
+    kids = []
+    for entry in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                state, ppid = fh.read().rsplit(")", 1)[1].split()[:2]
+        except (FileNotFoundError, ProcessLookupError):
+            continue
+        if int(ppid) == pid and state != "Z":
+            kids.append(int(entry))
+    return kids
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"),
+                    reason="finds engine workers through /proc")
+class TestServeProcess:
+    """A real ``repro serve`` process backed by engine workers."""
+
+    def test_sigterm_to_a_respawned_worker_leaves_the_server_up(
+            self, repro_env):
+        """A worker respawned after the server's loop installed its
+        SIGTERM handler once inherited that handler and the loop's
+        wakeup fd, so a SIGTERM to it stopped the whole server.  Now it
+        just ends the worker.  FETCH, SIGKILL the worker, FETCH (which
+        respawns it), SIGTERM the new worker, FETCH: the server is
+        still up and every FETCH is the in-process session's words.
+        Each FETCH opens a new session, whose empty readahead buffer
+        sends it to the engine."""
+        from repro.serve import ServeClient
+        from repro.serve.session import SessionStream
+
+        def fetch(session):
+            with ServeClient("127.0.0.1", port, session=session) as client:
+                got = client.fetch(64)
+            np.testing.assert_array_equal(
+                got, SessionStream(session, master_seed=5).generate(64)
+            )
+
+        server, port = start_serve(repro_env, "--engine-shards", "1",
+                                   "--seed", "5")
+        try:
+            fetch("before")
+            for sig in (signal.SIGKILL, signal.SIGTERM):
+                [worker] = live_children(server.pid)
+                os.kill(worker, sig)
+                deadline = time.monotonic() + 10
+                while worker in live_children(server.pid) \
+                        and time.monotonic() < deadline:
+                    time.sleep(0.05)
+                assert server.poll() is None, "the server stopped"
+                fetch(f"after-{sig.name}")
+            assert server.poll() is None, "the server stopped"
+        finally:
+            server.terminate()
+            _, err = server.communicate(timeout=30)
+        assert server.returncode == 0, err
+        assert "stopped after 3 requests" in err
+
+    def test_shutdown_line_reports_the_health_the_server_had(
+            self, repro_env):
+        """The exit line reads the health before the engine is closed,
+        so a healthy engine-backed server says OK, not DEGRADED."""
+        from repro.serve import ServeClient
+
+        server, port = start_serve(repro_env, "--engine-shards", "2",
+                                   "--duration", "3")
+        try:
+            with ServeClient("127.0.0.1", port, session="health") as client:
+                client.fetch(16)
+            _, err = server.communicate(timeout=30)
+        finally:
+            server.kill()
+        assert server.returncode == 0, err
+        assert "stopped after 1 requests" in err
+        assert "health OK" in err
 
 
 class TestQuality:

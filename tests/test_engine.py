@@ -13,12 +13,16 @@ import time
 import numpy as np
 import pytest
 
-import repro
 from repro.bitsource.counter import SplitMix64Source
 from repro.core.parallel import AddressableExpanderPRNG
 from repro.core.streams import derive_seed
 from repro.engine import EngineConfig, ShardedEngine, serial_reference
-from repro.engine.sharded import _effective_burst, _make_feed
+from repro.engine.sharded import (
+    MAX_ROUND_WORDS,
+    _effective_burst,
+    _FrameReader,
+    _make_feed,
+)
 from repro.resilience.errors import WorkerFailedError
 from repro.serve.session import SessionStream
 
@@ -101,7 +105,7 @@ class TestBulkStream:
             with pytest.raises(RuntimeError, match="serve-only"):
                 eng.generate(16)
             # ...but named streams still work.
-            assert eng.fetch_stream(5, 4, 12).size == 12
+            assert eng.fetch_stream(5, 4, 12, 0).size == 12
 
 
 class TestNamedStreams:
@@ -114,7 +118,7 @@ class TestNamedStreams:
         )
         with ShardedEngine(CONFIG) as eng:
             np.testing.assert_array_equal(
-                eng.fetch_stream(seed, lanes, 100), local.generate(100)
+                eng.fetch_stream(seed, lanes, 100, 0), local.generate(100)
             )
 
     def test_explicit_offset_fetch(self):
@@ -129,9 +133,9 @@ class TestNamedStreams:
             np.testing.assert_array_equal(
                 eng.fetch_stream(seed, lanes, 50, offset=120), ref[120:170]
             )
-            # Default continues from where the explicit fetch ended.
+            # Onward from where that read ended.
             np.testing.assert_array_equal(
-                eng.fetch_stream(seed, lanes, 30), ref[170:200]
+                eng.fetch_stream(seed, lanes, 30, offset=170), ref[170:200]
             )
             # Backwards slice: no replay machinery, just a seek.
             np.testing.assert_array_equal(
@@ -140,8 +144,8 @@ class TestNamedStreams:
 
     def test_streams_are_independent(self):
         with ShardedEngine(CONFIG) as eng:
-            a = eng.fetch_stream(6, 8, 64)
-            b = eng.fetch_stream(7, 8, 64)
+            a = eng.fetch_stream(6, 8, 64, 0)
+            b = eng.fetch_stream(7, 8, 64, 0)
         assert not np.array_equal(a, b)
 
     def test_routing_is_stable(self):
@@ -152,7 +156,7 @@ class TestNamedStreams:
     def test_bad_lane_count_rejected(self):
         with ShardedEngine(CONFIG) as eng:
             with pytest.raises(ValueError):
-                eng.fetch_stream(1, 0, 16)
+                eng.fetch_stream(1, 0, 16, 0)
 
 
 class TestServeIntegration:
@@ -253,7 +257,7 @@ class TestFailure:
             policy=cfg.policy,
         )
         with ShardedEngine(cfg) as eng:
-            got = eng.fetch_stream(seed, lanes, 64)
+            got = eng.fetch_stream(seed, lanes, 64, 0)
             assert eng.restarts == 1
         assert died.read_text() == "", "shared locks reached the worker"
         np.testing.assert_array_equal(got, local.generate(64))
@@ -303,12 +307,12 @@ class TestFailure:
                 for _ in range(2):
                     with pytest.raises(WorkerFailedError, match="timed out"):
                         eng.fetch_stream(9, 64, 100, offset=0)
-                assert not eng.ping(0)
                 assert eng.health == "FAILED"
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/stat"),
                         reason="reads process states from /proc")
-    def test_workers_exit_with_the_process_that_started_them(self):
+    def test_workers_exit_with_the_process_that_started_them(
+            self, repro_env):
         """SIGKILL the process that owns an engine: its workers must
         leave by themselves within 5 s.  (They used to wait for a
         request that could no longer come, forever, so every kill -9 of
@@ -320,17 +324,14 @@ class TestFailure:
             "from repro.engine import EngineConfig, ShardedEngine\n"
             "eng = ShardedEngine(EngineConfig(seed=1, shards=2, lanes=64,"
             " ring_slots=0, auto_restart=True))\n"
-            "eng.fetch_stream(3, 64, 10)\n"
-            "eng._send(1, 'fetchv', [[(3, 64, 0, 1 << 18)]])\n"
+            "eng.fetch_stream(3, 64, 10, 0)\n"
+            "eng._send(1, 'fetch', [(3, 64, 0, 1 << 18)])\n"
             "print(*(p.pid for p in eng._procs), flush=True)\n"
             "time.sleep(60)\n"
         )
-        src = os.path.dirname(os.path.dirname(repro.__file__))
-        path = os.environ.get("PYTHONPATH")
-        env = dict(os.environ,
-                   PYTHONPATH=src + (os.pathsep + path if path else ""))
-        owner = subprocess.Popen([sys.executable, "-c", script], env=env,
-                                 stdout=subprocess.PIPE, text=True)
+        owner = subprocess.Popen([sys.executable, "-c", script],
+                                 env=repro_env, stdout=subprocess.PIPE,
+                                 text=True)
         try:
             pids = [int(pid) for pid in owner.stdout.readline().split()]
         finally:
@@ -408,10 +409,10 @@ class TestFailure:
         ref = serial_reference(cfg, 16 + n_tail)
         with ShardedEngine(cfg) as eng:
             head = eng.generate(16)
-            stream_head = eng.fetch_stream(seed, lanes, 30)
+            stream_head = eng.fetch_stream(seed, lanes, 30, 0)
             started = time.monotonic()
             kill_shard(eng, 0)
-            stream_tail = eng.fetch_stream(seed, lanes, 70)
+            stream_tail = eng.fetch_stream(seed, lanes, 70, 30)
             kill_shard(eng, 1)
             tail = eng.generate(n_tail)
             elapsed = time.monotonic() - started
@@ -431,9 +432,9 @@ class TestFailure:
             policy=cfg.policy,
         )
         with ShardedEngine(cfg) as eng:
-            head = eng.fetch_stream(seed, lanes, 30)
+            head = eng.fetch_stream(seed, lanes, 30, 0)
             kill_shard(eng, 0)
-            tail = eng.fetch_stream(seed, lanes, 70)
+            tail = eng.fetch_stream(seed, lanes, 70, 30)
         np.testing.assert_array_equal(
             np.concatenate([head, tail]), local.generate(100)
         )
@@ -444,8 +445,6 @@ class TestRingBursts:
     must be invariant in ``ring_burst``."""
 
     def test_effective_burst_geometry(self):
-        from repro.engine.sharded import MAX_ROUND_WORDS, _effective_burst
-
         assert _effective_burst(
             EngineConfig(seed=1, shards=1, lanes=8, ring_burst=8)
         ) == 8
@@ -490,19 +489,14 @@ class TestRingBursts:
 
 
 class TestIntrospection:
-    def test_ping(self):
-        with ShardedEngine(CONFIG) as eng:
-            assert eng.ping(0) and eng.ping(1)
-
     def test_describe(self):
         with ShardedEngine(CONFIG) as eng:
             eng.generate(16)
-            eng.fetch_stream(1, 4, 8)
+            eng.fetch_stream(1, 4, 8, 0)
             doc = eng.describe()
         assert doc["shards"] == 2
         assert doc["lanes_per_shard"] == 8
         assert doc["rounds_assembled"] >= 1
-        assert doc["streams"] == 1
         assert doc["health"] == "OK"
 
     def test_close_is_idempotent(self):
@@ -525,7 +519,7 @@ class TestFetchSpans:
             for seed, lanes in streams
         }
         spans = [
-            (seed, lanes, None, 50 + 10 * i)
+            (seed, lanes, 0, 50 + 10 * i)
             for i, (seed, lanes) in enumerate(streams)
         ]
         with ShardedEngine(CONFIG) as eng:
@@ -536,52 +530,38 @@ class TestFetchSpans:
                 got, locals_[(seed, lanes)].generate(n)
             )
 
-    def test_same_stream_spans_are_contiguous(self):
-        """Two offset=None spans of one stream in a single batch
-        continue each other, and fetch_stream continues after both."""
-        seed, lanes = 41, 8
+    def test_explicit_offsets_and_word_cap(self, monkeypatch):
+        """All of one shard's spans, out of offset order and together
+        past the ring-burst word cap (16 MiB), come back exact in one
+        reply: the cap bounds ring bursts only, never a fetch."""
+        seed, lanes = 40, 64  # shard 0 owns the stream
+        big = MAX_ROUND_WORDS
         local = AddressableExpanderPRNG(
             num_threads=lanes, bit_source=_make_feed(CONFIG, seed),
             policy=CONFIG.policy,
         )
-        ref = local.generate(120)
+        ref = local.generate(300 + big)
         with ShardedEngine(CONFIG) as eng:
-            a, b = eng.fetch_spans(
-                [(seed, lanes, None, 30), (seed, lanes, None, 50)]
-            )
-            np.testing.assert_array_equal(a, ref[:30])
-            np.testing.assert_array_equal(b, ref[30:80])
-            np.testing.assert_array_equal(
-                eng.fetch_stream(seed, lanes, 40), ref[80:120]
-            )
+            replies = []
+            read = _FrameReader.__call__
 
-    def test_explicit_offsets_and_word_cap(self):
-        """Spans bigger than the per-round word cap split into multiple
-        capped rounds without changing a byte."""
-        import repro.engine.sharded as sharded_mod
+            def counted(reader, timeout):
+                got = read(reader, timeout)
+                if got is not None:
+                    replies.append(got[0])
+                return got
 
-        seed, lanes = 40, 8
-        local = AddressableExpanderPRNG(
-            num_threads=lanes, bit_source=_make_feed(CONFIG, seed),
-            policy=CONFIG.policy,
-        )
-        ref = local.generate(600)
-        old_cap = sharded_mod.MAX_ROUND_WORDS
-        sharded_mod.MAX_ROUND_WORDS = 100
-        try:
-            with ShardedEngine(CONFIG) as eng:
-                results = eng.fetch_spans(
-                    [
-                        (seed, lanes, 100, 80),
-                        (seed, lanes, 0, 90),
-                        (seed, lanes, 300, 300),
-                    ]
-                )
-        finally:
-            sharded_mod.MAX_ROUND_WORDS = old_cap
+            # Patched after the fork, so only the engine's side counts.
+            monkeypatch.setattr(_FrameReader, "__call__", counted)
+            results = eng.fetch_spans([
+                (seed, lanes, 100, 80),
+                (seed, lanes, 0, 90),
+                (seed, lanes, 300, big),
+            ])
+        assert replies == ["okv"]
         np.testing.assert_array_equal(results[0], ref[100:180])
         np.testing.assert_array_equal(results[1], ref[0:90])
-        np.testing.assert_array_equal(results[2], ref[300:600])
+        np.testing.assert_array_equal(results[2], ref[300:])
 
     def test_request_bigger_than_the_pipe_buffer(self):
         """A request is written without blocking, in pieces as the worker
@@ -593,17 +573,21 @@ class TestFetchSpans:
             policy=CONFIG.policy,
         )
         with ShardedEngine(CONFIG) as eng:
-            got = eng.fetch_spans([(seed, lanes, None, 1)] * n)
+            got = eng.fetch_spans([(seed, lanes, k, 1) for k in range(n)])
         np.testing.assert_array_equal(np.concatenate(got), local.generate(n))
 
     def test_empty_and_invalid_spans(self):
         with ShardedEngine(CONFIG) as eng:
             assert eng.fetch_spans([]) == []
             with pytest.raises(ValueError):
-                eng.fetch_spans([(1, 0, None, 8)])
+                eng.fetch_spans([(1, 0, 0, 8)])
             with pytest.raises(ValueError):
-                eng.fetch_spans([(1, 4, None, -1)])
-            with pytest.raises(ValueError):
+                eng.fetch_spans([(1, 4, 0, -1)])
+            # A read names its offset: no engine-side cursor continues
+            # a stream.
+            with pytest.raises(ValueError, match="offset"):
+                eng.fetch_spans([(1, 4, None, 8)])
+            with pytest.raises(ValueError, match="offset"):
                 eng.fetch_spans([(1, 4, -5, 8)])
 
     def test_restart_mid_spans_is_deterministic(self):
@@ -618,10 +602,10 @@ class TestFetchSpans:
         )
         ref = local.generate(100)
         with ShardedEngine(cfg) as eng:
-            head = eng.fetch_spans([(seed, lanes, None, 30)])[0]
+            head = eng.fetch_spans([(seed, lanes, 0, 30)])[0]
             kill_shard(eng, 0)
             tail = eng.fetch_spans(
-                [(seed, lanes, None, 40), (seed, lanes, None, 30)]
+                [(seed, lanes, 30, 40), (seed, lanes, 70, 30)]
             )
             assert eng.restarts >= 1
         np.testing.assert_array_equal(head, ref[:30])

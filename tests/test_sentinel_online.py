@@ -1,7 +1,11 @@
 """Tests for the sentinel's online detectors, verdict engine, and tap."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
 
 from repro.obs import metrics as obs_metrics
 from repro.obs.metrics import MetricsRegistry
@@ -81,6 +85,68 @@ class TestOnlineDetectors:
     def test_ks_drift_passes_uniforms(self):
         u = np.random.default_rng(3).random(200)
         assert online.ks_drift_pvalue(u) > 1e-4
+
+
+class TestPValuesWithoutScipyStats:
+    """The detectors take their tails from ``scipy.special``: importing
+    ``scipy.stats`` costs about a second and 45 MB, which a server paid
+    on its event loop at the first evaluated window."""
+
+    def test_a_served_sentinel_never_imports_scipy_stats(self, repro_env):
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "import repro.serve\n"
+            "from repro.obs.sentinel import SentinelConfig, StreamSentinel\n"
+            "cfg = SentinelConfig()\n"
+            "s = StreamSentinel(cfg)\n"
+            "rng = np.random.default_rng(1)\n"
+            "for _ in range(cfg.ks_every):\n"
+            "    s.observe(rng.integers(0, 2**64, cfg.window_words"
+            " * cfg.sample_every, dtype=np.uint64))\n"
+            "state = s.state()\n"
+            "assert state['windows'] == cfg.ks_every\n"
+            "assert {'byte_chi2', 'ks_drift'} <= set(state['last_window'])\n"
+            "print('scipy.stats' in sys.modules)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", script], env=repro_env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"
+
+    def test_byte_chi2_matches_scipy_stats(self):
+        import scipy.stats as sps
+
+        rng = np.random.default_rng(4)
+        for size in (16, 256, 4096):
+            for mask in (2**64 - 1, 0xFEFFFFFFFFFFFFFF, 0xFEFEFEFEFEFEFEFE):
+                words = rng.integers(0, 2**64, size=size, dtype=np.uint64)
+                words &= np.uint64(mask)
+                hist = np.bincount(words.view(np.uint8), minlength=256)
+                assert online.byte_chi2_pvalue(words) == pytest.approx(
+                    sps.chisquare(hist).pvalue, rel=1e-12, abs=1e-300
+                )
+
+    @pytest.mark.parametrize("n", [64, 128, 192, 256])
+    def test_ks_drift_matches_scipy_stats(self, n):
+        """The reservoir's sizes at the first four KS checks.  Where
+        scipy's p is small the two agree; elsewhere this one may read
+        higher, by at most 0.13, and never lower beyond rounding."""
+        import scipy.stats as sps
+
+        rng = np.random.default_rng(n)
+        small = 0
+        for power in (1.0, 1.25, 1.5, 2.0):  # uniform, then drifted
+            for _ in range(40):
+                u = rng.random(n) ** power
+                want = sps.kstest(u, "uniform").pvalue
+                got = online.ks_drift_pvalue(u)
+                if want < 0.01:
+                    small += 1
+                    assert got == pytest.approx(want, rel=1e-6)
+                else:
+                    assert want * (1 - 1e-4) <= got <= want + 0.13
+        assert small >= 40
 
 
 class TestSentinelConfig:

@@ -75,13 +75,16 @@ class TestEngineContract:
         np.testing.assert_array_equal(got, ref)
 
     def test_named_stream_split_invariance(self):
+        sizes = (3, 50, 1, 10)
+        offsets = np.cumsum((0,) + sizes[:-1])
         with ShardedEngine(self.CONFIG) as eng:
             a = np.concatenate([
-                eng.fetch_stream(11, 16, s) for s in (3, 50, 1, 10)
+                eng.fetch_stream(11, 16, s, int(off))
+                for s, off in zip(sizes, offsets)
             ])
-            b = eng.fetch_stream(12, 16, 64)  # decoy: different stream
+            b = eng.fetch_stream(12, 16, 64, 0)  # decoy: different stream
             with ShardedEngine(self.CONFIG) as eng2:
-                bulk = eng2.fetch_stream(11, 16, 64)
+                bulk = eng2.fetch_stream(11, 16, 64, 0)
         np.testing.assert_array_equal(a, bulk)
         assert not np.array_equal(b, bulk)
 
