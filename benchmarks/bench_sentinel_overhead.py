@@ -3,7 +3,7 @@
 Runs the serving soak twice on identical load -- sentinel disabled, then
 enabled at the default sampling rate (1 word in 16, 4096-word windows) --
 and reports the throughput delta.  The tentpole guarantee is that the
-tap + sentinel cost is marginal on the serving hot path: the CI gate
+sentinel's cost is marginal on the serving hot path: the CI gate
 fails the job if the measured overhead exceeds ``--max-overhead-pct``
 (default 5%).
 

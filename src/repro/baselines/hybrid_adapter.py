@@ -73,9 +73,8 @@ class HybridPRNG(PRNG):
 
         Zero-copy counterpart of :meth:`u64_array` for callers that pool
         their buffers (``repro generate`` streams through one); same
-        stream, same remainder behaviour.  Both paths route through
-        ``ParallelExpanderPRNG.generate_into``, so an installed sentinel
-        tap (:mod:`repro.obs.sentinel`) observes these deliveries too.
+        stream, same remainder behaviour: both paths route through
+        ``ParallelExpanderPRNG.generate_into``.
         """
         self.generator.generate_into(out)
 

@@ -24,7 +24,7 @@ Commands
                ``STATUS`` document with ``--status``); ``--dist``
                fetches typed variates through the ``VARIATE`` op;
 ``sentinel``   statistical health checks: watch a live generation run
-               through the sentinel tap (optionally under an injected
+               with a stream sentinel (optionally under an injected
                fault profile) and/or run the offline pair detectors
                (substream cross-correlation, weak-seed screening,
                glibc lag-structure leakage); exits 1 when anything is
@@ -512,10 +512,11 @@ def _cmd_stats(args) -> int:
         name="stats",
     )
     with obs.observed() as (registry, tracer):
-        with sentinel_mod.tapped(guard), HybridScheduler(
+        with HybridScheduler(
             seed=args.seed, async_feed=args.async_feed
         ) as sched:
-            _values, plan, prediction = sched.run(args.n, args.batch_size)
+            values, plan, prediction = sched.run(args.n, args.batch_size)
+            guard.observe(values)
             report = sched.report(plan=plan, prediction=prediction)
         report.add_section("sentinel", guard.summary())
         if args.trace:
@@ -557,14 +558,14 @@ def _cmd_sentinel(args) -> int:
         )
         buf = np.empty(GENERATE_CHUNK, dtype=np.uint64)
         lag_words = []
-        with sentinel_mod.tapped(guard):
-            remaining = args.n
-            while remaining > 0:
-                k = min(GENERATE_CHUNK, remaining)
-                gen.u64_into(buf[:k])
-                if "lag" in checks:
-                    lag_words.append(buf[:k].copy())
-                remaining -= k
+        remaining = args.n
+        while remaining > 0:
+            k = min(GENERATE_CHUNK, remaining)
+            gen.u64_into(buf[:k])
+            guard.observe(buf[:k])
+            if "lag" in checks:
+                lag_words.append(buf[:k].copy())
+            remaining -= k
         if "watch" in checks:
             results["watch"] = guard.state()
             if guard.verdict is not sentinel_mod.Verdict.STAT_OK:

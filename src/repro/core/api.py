@@ -4,7 +4,10 @@ The paper's motivation (Section I) is that a GPU thread should be able to
 call something like ANSI C ``rand()`` and receive a fresh number on
 demand.  This module is that API for Python callers: each OS thread gets
 its own independent :class:`~repro.core.generator.ExpanderWalkPRNG`
-stream, so concurrent callers never contend or correlate.
+stream, so concurrent callers never contend or correlate.  The ``k``-th
+thread to call after ``srand(seed)`` is fed by
+``SplitMix64Source(derive_seed(seed, k))``, ``k = 1, 2, ...``: which
+stream a thread gets follows the order in which threads first call.
 
 >>> from repro.core import api
 >>> api.srand(1234)
@@ -17,10 +20,9 @@ from __future__ import annotations
 import threading
 from typing import Optional
 
-from repro.bitsource.counter import SplitMix64Source, splitmix64
+from repro.bitsource.counter import SplitMix64Source
 from repro.core.generator import ExpanderWalkPRNG
-
-import numpy as np
+from repro.core.streams import derive_seed
 
 __all__ = ["srand", "rand", "random", "randint", "get_thread_generator"]
 
@@ -48,10 +50,7 @@ def _next_stream_seed() -> tuple:
     global _stream_counter
     with _seed_lock:
         _stream_counter += 1
-        mixed = (_global_seed ^ (_stream_counter * 0x9E3779B97F4A7C15)) & (
-            2**64 - 1
-        )
-        return _epoch, int(splitmix64(np.uint64(mixed))[()])
+        return _epoch, derive_seed(_global_seed, _stream_counter)
 
 
 def get_thread_generator() -> ExpanderWalkPRNG:

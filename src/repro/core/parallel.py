@@ -25,15 +25,14 @@ from repro.bitsource.base import (
 )
 from repro.bitsource.glibc import GlibcRandom
 from repro.core.expander import GabberGalilExpander
-from repro.core.generator import DEFAULT_WALK_LENGTH
 from repro.core.walk import (
     CHUNKS_PER_WORD,
+    DEFAULT_WALK_LENGTH,
     FIXED_CONSUMPTION_POLICIES,
     WalkEngine,
     WalkState,
 )
 from repro.obs import metrics as obs_metrics
-from repro.obs.sentinel.tap import maybe_observe
 from repro.obs.trace import span
 from repro.utils.bits import u01_from_u64
 from repro.utils.checks import check_positive
@@ -68,9 +67,17 @@ class ParallelExpanderPRNG:
     num_threads : int
         Walker lanes (GPU threads).
     seed : int
-        Seed for the default glibc feed.
-    graph, bit_source, walk_length, policy :
-        As in :class:`~repro.core.generator.ExpanderWalkPRNG`.
+        Seed for the default glibc feed.  Ignored when ``bit_source`` is
+        given already constructed.
+    graph : GabberGalilExpander, optional
+        Defaults to the paper's ``m = 2**32`` graph (64-bit outputs).
+    bit_source : BitSource, optional
+        CPU feed; defaults to :class:`~repro.bitsource.glibc.GlibcRandom`
+        (the paper's choice).
+    walk_length : int
+        Steps per emitted number (paper: 64).
+    policy : str
+        Neighbour-selection policy, see :mod:`repro.core.walk`.
 
     Examples
     --------
@@ -230,11 +237,6 @@ class ParallelExpanderPRNG:
             take = n - pos
             out[pos:] = vals[:take]
             self._remainder = vals[take:].copy()
-        # Sentinel tap: a read-only look at the delivered words.  The
-        # tap copies what it samples and never touches the stream, so
-        # values (and golden streams) are unchanged; with no tap
-        # installed this is a global load and a None check.
-        maybe_observe(out)
 
     def generate(self, n: int, batch_size: Optional[int] = None) -> np.ndarray:
         """The next ``n`` numbers of the generator's stream.
@@ -374,9 +376,9 @@ class ParallelExpanderPRNG:
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return (
-            f"ParallelExpanderPRNG(threads={self.num_threads}, m={self.graph.m}, "
-            f"l={self.walk_length}, policy={self.engine.policy!r}, "
-            f"feed={self.source.name!r})"
+            f"{type(self).__name__}(threads={self.num_threads}, "
+            f"m={self.graph.m}, l={self.walk_length}, "
+            f"policy={self.engine.policy!r}, feed={self.source.name!r})"
         )
 
 
@@ -576,10 +578,3 @@ class AddressableExpanderPRNG(ParallelExpanderPRNG):
     @property
     def bits_consumed(self) -> int:
         return 0 if self._state is None else 3 * self._state.chunks_consumed
-
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        return (
-            f"AddressableExpanderPRNG(threads={self.num_threads}, "
-            f"m={self.graph.m}, l={self.walk_length}, "
-            f"policy={self.engine.policy!r}, feed={self.source.name!r})"
-        )

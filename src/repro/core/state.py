@@ -1,10 +1,13 @@
 """Generator state capture and restore.
 
 Long Monte Carlo campaigns need checkpointing: capture the complete
-state of a generator (walker positions plus the feed's own state),
-serialize it, and resume bit-for-bit later.  States are plain dicts of
-JSON-friendly values (NumPy arrays encoded as lists), so they can be
-stored anywhere.
+state of a chained walker bank of one lane or many (walker positions
+plus the feed's own state), serialize it, and resume bit-for-bit later.
+States are plain dicts of JSON-friendly values (NumPy arrays encoded as
+lists), so they can be stored anywhere.
+
+An :class:`AddressableExpanderPRNG` is refused: its state is its word
+offset, so ``tell()`` is its snapshot and ``seek()`` its restore.
 
 Feed state is handled via a small protocol: sources expose their state
 through ``__getstate_dict__`` / ``__setstate_dict__`` if present, else
@@ -19,8 +22,7 @@ import numpy as np
 
 from repro.bitsource.counter import RawCounterSource, SplitMix64Source
 from repro.bitsource.glibc import AnsiCLcg, GlibcRandom
-from repro.core.generator import ExpanderWalkPRNG
-from repro.core.parallel import ParallelExpanderPRNG
+from repro.core.parallel import AddressableExpanderPRNG, ParallelExpanderPRNG
 
 __all__ = ["capture_state", "restore_state"]
 
@@ -77,32 +79,40 @@ def _restore_source(source, state: Dict[str, Any]) -> None:
     raise ValueError(f"unknown feed state kind {kind!r}")
 
 
-def capture_state(prng) -> Dict[str, Any]:
-    """Snapshot an :class:`ExpanderWalkPRNG` or :class:`ParallelExpanderPRNG`."""
-    if not isinstance(prng, (ExpanderWalkPRNG, ParallelExpanderPRNG)):
+def _check_chained(prng) -> None:
+    if isinstance(prng, AddressableExpanderPRNG):
+        raise TypeError(
+            "an AddressableExpanderPRNG's state is its word offset: "
+            "tell() is its snapshot and seek() its restore"
+        )
+    if not isinstance(prng, ParallelExpanderPRNG):
         raise TypeError(f"unsupported generator type {type(prng).__name__}")
+
+
+def capture_state(prng) -> Dict[str, Any]:
+    """Snapshot a chained walker bank of one lane or many."""
+    _check_chained(prng)
     state = prng._state
-    snapshot = {
+    return {
         "version": _FORMAT_VERSION,
         "kind": type(prng).__name__,
         "m": prng.graph.m,
         "walk_length": prng.walk_length,
         "policy": prng.engine.policy,
-        "x": [int(v) for v in np.atleast_1d(state.x)],
-        "y": [int(v) for v in np.atleast_1d(state.y)],
+        "x": [int(v) for v in state.x],
+        "y": [int(v) for v in state.y],
         "steps_taken": int(state.steps_taken),
         "chunks_consumed": int(state.chunks_consumed),
         "feed_buffer": [int(v) for v in state.feed_buffer],
         "numbers_generated": int(prng.numbers_generated),
+        "remainder": [int(v) for v in prng._remainder],
         "source": _source_state(prng.source),
     }
-    if isinstance(prng, ParallelExpanderPRNG):
-        snapshot["remainder"] = [int(v) for v in prng._remainder]
-    return snapshot
 
 
 def restore_state(prng, snapshot: Dict[str, Any]) -> None:
     """Restore a snapshot in place.  The generator must match structurally."""
+    _check_chained(prng)
     if snapshot.get("version") != _FORMAT_VERSION:
         raise ValueError(f"unsupported snapshot version {snapshot.get('version')}")
     if snapshot["kind"] != type(prng).__name__:
@@ -116,7 +126,7 @@ def restore_state(prng, snapshot: Dict[str, Any]) -> None:
     if snapshot["policy"] != prng.engine.policy:
         raise ValueError("snapshot policy does not match")
     x = np.array(snapshot["x"])
-    if isinstance(prng, ParallelExpanderPRNG) and x.size != prng.num_threads:
+    if x.size != prng.num_threads:
         raise ValueError(
             f"snapshot has {x.size} walkers, generator has {prng.num_threads}"
         )
@@ -129,6 +139,7 @@ def restore_state(prng, snapshot: Dict[str, Any]) -> None:
         snapshot["feed_buffer"], dtype=np.uint8
     )
     prng.numbers_generated = snapshot["numbers_generated"]
-    if isinstance(prng, ParallelExpanderPRNG):
-        prng._remainder = np.array(snapshot["remainder"], dtype=np.uint64)
+    # One-lane snapshots written while ExpanderWalkPRNG had a class of
+    # its own carry no remainder; a one-lane round never leaves one.
+    prng._remainder = np.array(snapshot.get("remainder", ()), dtype=np.uint64)
     _restore_source(prng.source, snapshot["source"])

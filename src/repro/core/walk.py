@@ -61,9 +61,13 @@ __all__ = [
     "POLICIES",
     "FIXED_CONSUMPTION_POLICIES",
     "CHUNKS_PER_WORD",
+    "DEFAULT_WALK_LENGTH",
 ]
 
 POLICIES = ("reject", "mod", "lazy")
+
+#: Walk length used throughout the paper (Section III-B).
+DEFAULT_WALK_LENGTH = 64
 
 #: Policies that consume exactly one chunk per walker step.  Only these
 #: admit offset-addressable streams: the feed position of any step is a

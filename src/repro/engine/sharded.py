@@ -21,23 +21,28 @@ cannot change it (the same stream contract the core obeys).
 Workers also answer **named stream reads** (the serving path): a read
 ``(stream_seed, lanes, offset, count)`` names a stream, is routed to the
 shard ``stream_seed % shards``, and is served from a per-stream walker
-bank inside that worker -- byte-identical to running the same bank in
-process, which is what lets ``repro.serve`` sessions move onto the
-shard pool without changing a single client-visible value.  Banks are
+bank inside that worker -- built by the same
+:func:`~repro.resilience.supervised.stream_bank` an in-process session
+uses, which is what lets ``repro.serve`` sessions move onto the shard
+pool without changing a single client-visible value.  Banks are
 :class:`~repro.core.parallel.AddressableExpanderPRNG` streams (the
 engine requires a fixed-consumption policy), and a read is a pure
 function of its four numbers: the engine keeps no position of its own
 for a named stream.  A worker whose bank is at a different position
 seeks to the read's offset directly -- O(log offset) via the feed
 jump-ahead -- so respawn cost is independent of stream age and any
-slice is served without replay.
+slice is served without replay.  For the same reason a worker keeps
+only the :data:`MAX_WORKER_STREAMS` banks it used last: an evicted
+stream is rebuilt and seeks to its next read's offset.
 
 Health follows :mod:`repro.resilience`: worker feeds run behind
 :class:`~repro.resilience.supervised.SupervisedFeed` failover chains, a
 worker that dies or misses its deadline is killed and surfaces as
 :class:`~repro.resilience.errors.WorkerFailedError` (or is respawned
-when ``auto_restart`` is on, with the engine reporting ``DEGRADED``),
-and ``repro_engine_*`` metrics/spans flow through :mod:`repro.obs`.
+when ``auto_restart`` is on, with the engine reporting ``DEGRADED``;
+work that fails on the respawned worker too gets the error, and is
+never sent a third time), and ``repro_engine_*`` metrics/spans flow
+through :mod:`repro.obs`.
 
 NOTE: wall-clock speedup needs a core per shard; the reproduction host
 has two, so shards beyond two share them --
@@ -56,21 +61,20 @@ import signal
 import struct
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.bitsource.base import BitSource
-from repro.bitsource.counter import SplitMix64Source
-from repro.core.generator import DEFAULT_WALK_LENGTH
 from repro.core.parallel import AddressableExpanderPRNG
 from repro.core.streams import derive_seed
-from repro.core.walk import FIXED_CONSUMPTION_POLICIES
+from repro.core.walk import DEFAULT_WALK_LENGTH, FIXED_CONSUMPTION_POLICIES
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
 from repro.resilience.errors import WorkerFailedError
-from repro.resilience.supervised import stream_feed
+from repro.resilience.supervised import stream_bank
 from repro.utils.checks import check_positive
 
 from repro.engine.ring import RingHandle, SharedRing
@@ -120,6 +124,11 @@ _FRAME_HEAD = struct.Struct("<QQ")
 #: back so one slot never holds more.  Named-stream reads have no cap:
 #: a shard's reply carries all of its spans, however many words.
 MAX_ROUND_WORDS = 1 << 21
+
+#: Named-stream banks a worker keeps, least recently used evicted first:
+#: about 6 MB at some 6 KB a bank.  Reads name their offset, so an
+#: evicted stream is rebuilt and seeks there; no byte depends on it.
+MAX_WORKER_STREAMS = 1024
 
 
 @dataclass(frozen=True)
@@ -186,37 +195,19 @@ def _effective_burst(config: EngineConfig) -> int:
     return max(1, min(config.ring_burst, MAX_ROUND_WORDS // config.lanes))
 
 
-# ----------------------------------------------------------------------
-# Bank construction (shared by workers and the serial reference)
-# ----------------------------------------------------------------------
-
-def _make_feed(config: EngineConfig, feed_seed: int) -> BitSource:
-    factory = config.source_factory or SplitMix64Source
-    return stream_feed(factory(feed_seed), feed_seed, config.failover)
-
-
-def _make_stream(config: EngineConfig, stream_seed: int,
-                 lanes: int) -> AddressableExpanderPRNG:
-    """The walker bank of the stream ``(stream_seed, lanes)``, identical
-    to an in-process one.  Shard ``i``'s bulk bank is the stream
-    ``(derive_seed(config.seed, i), config.lanes)``."""
-    return AddressableExpanderPRNG(
-        num_threads=lanes,
-        bit_source=_make_feed(config, stream_seed),
-        walk_length=config.walk_length,
-        policy=config.policy,
-    )
-
-
 def serial_reference(config: EngineConfig, n: int) -> np.ndarray:
     """The exact bulk stream the shard pool produces, single-process.
 
     Used by tests to prove the decomposition changes nothing: round
     ``r`` of the engine is shard 0's round ``r``, then shard 1's, ...
+    Shard ``i``'s bank is the named stream ``(derive_seed(config.seed,
+    i), config.lanes)``.
     """
     check_positive("n", n)
     banks = [
-        _make_stream(config, derive_seed(config.seed, i), config.lanes)
+        stream_bank(derive_seed(config.seed, i), config.lanes,
+                    config.source_factory, config.failover,
+                    config.walk_length, config.policy)
         for i in range(config.shards)
     ]
     parts: List[np.ndarray] = []
@@ -351,8 +342,12 @@ def _picklable(exc: BaseException):
         return f"{type(exc).__name__}: {exc}"
 
 
-def _serve_request(req, streams: Dict[Tuple[int, int], AddressableExpanderPRNG],
-                   config: EngineConfig, reply) -> None:
+def _serve_request(
+    req,
+    streams: OrderedDict[Tuple[int, int], AddressableExpanderPRNG],
+    config: EngineConfig,
+    reply,
+) -> None:
     """Answer one ``("fetch", spans)`` request with exactly one reply.
 
     The request carries all of the caller's spans for this shard, and
@@ -360,6 +355,7 @@ def _serve_request(req, streams: Dict[Tuple[int, int], AddressableExpanderPRNG],
     shipped as one ``okv`` reply.  Spans are independent streams, so a
     failed span is recorded in ``metas`` (its slot in the buffer is
     simply not filled) and the rest of the request still succeeds.
+    ``streams`` keeps the :data:`MAX_WORKER_STREAMS` banks used last.
     """
     tag, spans, _ = req
     try:
@@ -373,14 +369,19 @@ def _serve_request(req, streams: Dict[Tuple[int, int], AddressableExpanderPRNG],
                 key = (stream_seed, lanes)
                 prng = streams.get(key)
                 if prng is None:
-                    prng = streams[key] = _make_stream(
-                        config, stream_seed, lanes
+                    prng = streams[key] = stream_bank(
+                        stream_seed, lanes, config.source_factory,
+                        config.failover, config.walk_length, config.policy,
                     )
+                    if len(streams) > MAX_WORKER_STREAMS:
+                        streams.popitem(last=False)
+                else:
+                    streams.move_to_end(key)
                 if prng.tell() != offset:
-                    # Fresh worker behind a long-lived stream (post-
-                    # restart), or a read elsewhere in the stream: jump
-                    # straight there -- O(log offset), never a replay
-                    # of the already-served prefix.
+                    # Fresh bank behind a long-lived stream (after a
+                    # restart or an eviction), or a read elsewhere in
+                    # the stream: jump straight there -- O(log offset),
+                    # never a replay of the already-served prefix.
                     prng.seek(offset)
                 if n:
                     prng.generate_into(buf[pos:pos + n])
@@ -426,14 +427,16 @@ def _shard_main(config: EngineConfig, shard_index: int,
     signal.set_wakeup_fd(-1)
     parent = mp.parent_process().pid
     bank = (
-        _make_stream(config, derive_seed(config.seed, shard_index),
-                     config.lanes)
+        stream_bank(derive_seed(config.seed, shard_index), config.lanes,
+                    config.source_factory, config.failover,
+                    config.walk_length, config.policy)
         if ring_handle is not None else None
     )
     if bank is not None and resume_rounds:
         bank.seek(resume_rounds * config.lanes)
     writer = ring_handle.attach() if ring_handle is not None else None
-    streams: Dict[Tuple[int, int], AddressableExpanderPRNG] = {}
+    streams: OrderedDict[Tuple[int, int], AddressableExpanderPRNG] = \
+        OrderedDict()
     inbox, outbox = _FrameReader(requests), _FrameWriter(replies)
 
     def reply(tag: str, payload=None,
@@ -568,6 +571,10 @@ class ShardedEngine:
         proc = self._procs[i]
         if proc is not None:
             if doing is not None:
+                # A dying worker closes its pipes before it can be
+                # reaped: give it one slice to finish exiting, so its
+                # death is not reported as a timeout.
+                proc.join(_LIVENESS_SLICE_S)
                 self._failures[i] = (
                     f"timed out {doing} after {self.config.fetch_timeout_s}s"
                     f" (process alive but unresponsive)"
@@ -622,9 +629,9 @@ class ShardedEngine:
         The worker is killed and its pipes are dropped unread, so a late
         reply can never answer a later request.  With ``auto_restart``
         the shard is respawned, seeking to where the dead one stopped,
-        and the caller sends the request again (absolute offsets keep
-        that byte-exact); otherwise this raises, and so does every
-        later request to the shard.
+        and the caller may give the same work to the new worker once
+        (absolute offsets keep that byte-exact); otherwise this raises,
+        and so does every later request to the shard.
         """
         self._reap(i, doing)
         if not self.config.auto_restart or self._closed:
@@ -640,6 +647,16 @@ class ShardedEngine:
         with span("engine.restart", shard=i,
                   resume_rounds=self._rounds_consumed[i]):
             self._spawn(i, resume_rounds=self._rounds_consumed[i])
+
+    def _failed_again(self, i: int) -> WorkerFailedError:
+        """The error for work whose respawned worker failed it too: it
+        is not sent a third time (the shard is respawned for later
+        work), so work that kills every worker cannot loop forever."""
+        return WorkerFailedError(
+            f"engine shard {i} {self._failures[i]} on work its previous "
+            f"worker had failed too; no partial results were returned",
+            worker_index=i,
+        )
 
     def close(self) -> None:
         """Stop all workers and release rings and pipes (idempotent)."""
@@ -667,15 +684,15 @@ class ShardedEngine:
     def _peek_round(self) -> list:
         """Zero-copy ring views of every shard's next round, shard-major.
 
-        Blocks (reviving dead shards) until *all* shards have a round
-        ready; nothing is consumed, so a failure mid-peek leaves every
-        ring intact (the no-partial-results contract).
+        Blocks until *all* shards have a round ready, reviving a dead
+        shard once per round; nothing is consumed, so a failure mid-peek
+        leaves every ring intact (the no-partial-results contract).
         """
         cfg = self.config
         lanes = cfg.lanes
         parts = []
         for i in range(cfg.shards):
-            while True:
+            for _ in range(2):  # the worker, then at most one respawn
                 ring = self._rings[i]
                 view = (
                     self._await_worker(i, ring.peek)
@@ -684,6 +701,8 @@ class ShardedEngine:
                 if view is not None:
                     break
                 self._shard_down(i, "producing a round")
+            else:
+                raise self._failed_again(i)
             # The slot holds a burst; hand out this shard's next unread
             # round of it.  Peek is idempotent, so re-peeking the same
             # slot just re-slices at the same cursor.
@@ -796,9 +815,10 @@ class ShardedEngine:
         that failed -- callers decide whether a partial batch is fatal.
 
         A shard that dies or misses ``fetch_timeout_s`` is killed, then
-        respawned and sent the same request again under
-        ``auto_restart`` (absolute offsets keep that byte-exact);
-        otherwise every span it owned gets its WorkerFailedError.
+        respawned and sent the same request once more under
+        ``auto_restart`` (absolute offsets keep that byte-exact).
+        Otherwise, or if the respawned worker fails it too, every span
+        the shard owned gets its WorkerFailedError.
         Thread-safe: shard locks are taken in ascending shard order,
         the same total order every other engine entry point uses.
         """
@@ -874,15 +894,18 @@ class ShardedEngine:
     def _await_reply(self, i: int, request: list, sent: bool):
         """Shard ``i``'s one reply to ``request``, which ``sent`` says
         went out.  A shard that misses it goes down; once respawned it
-        is sent the same request again, and without ``auto_restart``
-        its :class:`WorkerFailedError` is raised.  Caller holds the
-        shard's lock."""
-        while True:
+        is sent the same request once more.  Without ``auto_restart``,
+        or when the respawned worker misses it too, a
+        :class:`WorkerFailedError` is raised.  Caller holds the shard's
+        lock."""
+        for resend in (False, True):
+            if resend:
+                sent = self._send(i, "fetch", request)
             reply = self._await_worker(i, self._replies[i]) if sent else None
             if reply is not None:
                 return reply
             self._shard_down(i, "serving a fetch")
-            sent = self._send(i, "fetch", request)
+        raise self._failed_again(i)
 
     def fetch_stream(self, stream_seed: int, lanes: int, n: int,
                      offset: int) -> np.ndarray:

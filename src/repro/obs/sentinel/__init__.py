@@ -1,41 +1,29 @@
 """Continuous quality sentinel: streaming statistical health of streams.
 
 The offline batteries (:mod:`repro.quality`) certify a generator before
-deployment; the sentinel watches it *while serving*.  A read-only tap on
-the generation hot path (:mod:`~repro.obs.sentinel.tap`) feeds sampled
-windows to incremental detectors (:mod:`~repro.obs.sentinel.online`),
-and :class:`StreamSentinel` turns window p-values into a sticky
-STAT_OK / STAT_SUSPECT / STAT_BAD verdict with a bounded lifetime
-false-alarm budget (:mod:`~repro.obs.sentinel.verdict`).  Offline
-pair-level checks (cross-correlation, weak seeds, glibc lag leakage)
-live in :mod:`~repro.obs.sentinel.pairs` behind the ``repro sentinel``
-CLI.
+deployment; the sentinel watches it *while serving*.  Whoever holds the
+generated words hands them to :meth:`StreamSentinel.observe`, which
+samples windows into incremental detectors
+(:mod:`~repro.obs.sentinel.online`) and turns window p-values into a
+sticky STAT_OK / STAT_SUSPECT / STAT_BAD verdict with a bounded
+lifetime false-alarm budget (:mod:`~repro.obs.sentinel.verdict`).
+Offline pair-level checks (cross-correlation, weak seeds, glibc lag
+leakage) live in :mod:`~repro.obs.sentinel.pairs` behind the ``repro
+sentinel`` CLI.
 
 Typical in-process use::
 
     from repro.obs import sentinel
 
     guard = sentinel.StreamSentinel(name="bulk")
-    with sentinel.tapped(guard):
-        prng.generate_into(out)          # tap observes, stream untouched
+    prng.generate_into(out)
+    guard.observe(out)                   # reads and copies, never consumes
     print(guard.verdict.name, guard.state())
 
 The serve layer instead creates one sentinel per session and folds its
 verdict into session/server health (see :mod:`repro.serve.session`).
-
-This package is imported by ``repro.core.parallel`` (the tap hook), so
-its ``__init__`` must only pull in modules that never import
-``repro.core``; the pair detectors defer their core imports for the
-same reason.
 """
 
-from repro.obs.sentinel.tap import (
-    get_tap,
-    install_tap,
-    maybe_observe,
-    tapped,
-    uninstall_tap,
-)
 from repro.obs.sentinel.verdict import (
     SENTINEL_P_BUCKETS,
     SentinelConfig,
@@ -48,9 +36,4 @@ __all__ = [
     "SentinelConfig",
     "StreamSentinel",
     "SENTINEL_P_BUCKETS",
-    "install_tap",
-    "uninstall_tap",
-    "get_tap",
-    "maybe_observe",
-    "tapped",
 ]

@@ -8,8 +8,8 @@ are window-local (monobit, runs, byte chi-square) except the KS drift
 check, which runs on a reservoir accumulated across windows.
 
 The p-values come from ``scipy.special``, imported lazily inside the
-evaluation calls so installing a tap on the generation hot path never
-forces ``scipy`` into the import graph of ``repro.core``.  Not from
+evaluation calls, so importing the sentinel does not load ``scipy``;
+only the first evaluated window does.  Not from
 ``scipy.stats``: its import takes about a second and 45 MB, and a
 server would pay both on the event loop at its first evaluated window.
 """

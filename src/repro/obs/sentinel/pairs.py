@@ -10,9 +10,9 @@ batch jobs, run from ``repro sentinel`` (and the CI sentinel job), not
 from the serving hot path.
 
 All ``repro.core`` / ``repro.bitsource`` imports are deferred into the
-functions: this module is reachable from the sentinel package while
-``repro.core.parallel`` is still initializing (it imports the tap), so
-its module level must stay core-free.
+functions, so each call looks ``derive_seed`` up in
+``repro.core.streams`` when it runs: the tests collapse the derivation
+by patching that module attribute, and the screens must see the patch.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Sticky statistical verdicts over a sampled stream: the sentinel core.
 
-A :class:`StreamSentinel` watches one logical stream through the
-read-only tap (:mod:`repro.obs.sentinel.tap`), samples one word in
+A :class:`StreamSentinel` watches one logical stream through the words
+its owner hands to :meth:`StreamSentinel.observe`, samples one word in
 ``sample_every`` into a private window buffer, and evaluates the
 :mod:`online <repro.obs.sentinel.online>` detectors whenever a window
 fills.  The verdict is **sticky** -- once a stream has looked bad it
@@ -128,7 +128,7 @@ class StreamSentinel:
     """Streaming statistical health of one stream; thread-safe, sticky.
 
     ``observe(values)`` is the whole write API: hand it every generated
-    batch (the tap does this) and read ``verdict`` / ``state()`` back.
+    batch, in stream order, and read ``verdict`` / ``state()`` back.
     ``observe`` treats its argument as read-only and copies the sampled
     words, so callers may reuse or byte-swap their buffers freely
     afterwards -- the non-consuming guarantee golden streams rely on.

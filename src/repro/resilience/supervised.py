@@ -42,7 +42,9 @@ from repro.bitsource.base import BitSource
 from repro.bitsource.counter import SplitMix64Source, splitmix64
 from repro.bitsource.glibc import GlibcRandom
 from repro.bitsource.os_entropy import OsEntropySource
+from repro.core.parallel import AddressableExpanderPRNG
 from repro.core.streams import derive_seed
+from repro.core.walk import DEFAULT_WALK_LENGTH
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
 from repro.resilience.errors import FeedFailedError
@@ -54,6 +56,7 @@ __all__ = [
     "SupervisedFeed",
     "STREAM_RETRY_POLICY",
     "default_failover_chain",
+    "stream_bank",
     "stream_feed",
 ]
 
@@ -410,12 +413,35 @@ def stream_feed(
     ``primary`` first, then (with ``failover``) an independent
     ``SplitMix64Source(derive_seed(seed, 1))`` and OS entropy last,
     always under :data:`STREAM_RETRY_POLICY`.  Without ``failover`` the
-    primary is still retried, but nothing stands behind it.  Serve
-    sessions and engine streams both build their feed here, so an
-    in-process session and an engine-backed one stay byte-identical
-    through a failover too.
+    primary is still retried, but nothing stands behind it.
     """
     chain = [primary]
     if failover:
         chain += [SplitMix64Source(derive_seed(seed, 1)), OsEntropySource()]
     return SupervisedFeed(chain, policy=STREAM_RETRY_POLICY, jitter_seed=seed)
+
+
+def stream_bank(
+    seed: int,
+    lanes: int,
+    source_factory: Optional[Callable[[int], BitSource]] = None,
+    failover: bool = True,
+    walk_length: int = DEFAULT_WALK_LENGTH,
+    policy: str = "lazy",
+) -> AddressableExpanderPRNG:
+    """The walker bank of the named stream ``(seed, lanes)``.
+
+    Fed by :func:`stream_feed` over ``source_factory(seed)`` (default
+    :class:`SplitMix64Source`); the bank's ``source`` is that
+    supervised feed.  Serve sessions, engine workers and the engine's
+    serial reference all build their banks here, so an in-process
+    stream and an engine-served one stay byte-identical, through a
+    failover too.
+    """
+    factory = source_factory or SplitMix64Source
+    return AddressableExpanderPRNG(
+        num_threads=lanes,
+        bit_source=stream_feed(factory(seed), seed, failover),
+        walk_length=walk_length,
+        policy=policy,
+    )

@@ -23,7 +23,7 @@ Layering (nothing here generates a number or computes a metric itself):
   :mod:`repro.obs.metrics`, exported by the existing Prometheus/JSONL
   exporters;
 * statistical health -- each session carries a
-  :class:`repro.obs.sentinel.StreamSentinel` (tap-only: served values
+  :class:`repro.obs.sentinel.StreamSentinel` (read-only: served values
   are byte-identical with it on or off) whose sticky
   STAT_SUSPECT/STAT_BAD verdict folds into session and server health
   and the ``STATUS`` body, so a silently-degraded stream fails health
@@ -90,7 +90,7 @@ class ServeConfig:
     #: path; ``source_factory`` must then be picklable.
     engine_shards: int = 0
     #: Attach a statistical sentinel to every session stream.  The
-    #: sentinel is tap-only (reads and copies; served values are
+    #: sentinel only reads and copies the served words (values are
     #: byte-identical with it on or off); its sticky verdict folds into
     #: session and server health and the STATUS payload.
     sentinel: bool = True

@@ -36,11 +36,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.bitsource.base import BitSource
-from repro.bitsource.counter import SplitMix64Source
-from repro.core.parallel import AddressableExpanderPRNG
 from repro.core.streams import derive_seed
 from repro.dist import DistStream
-from repro.resilience.supervised import FeedHealth, stream_feed
+from repro.resilience.supervised import FeedHealth, stream_bank
 
 __all__ = [
     "DEFAULT_SESSION_LANES",
@@ -91,8 +89,8 @@ class SessionStream:
     engine : ShardedEngine, optional
         Draw from a :class:`~repro.engine.sharded.ShardedEngine` shard
         pool instead of an in-process walker bank.  The engine worker
-        builds the *same* supervised feed chain
-        (:func:`~repro.resilience.supervised.stream_feed`) from the same
+        builds the *same* bank
+        (:func:`~repro.resilience.supervised.stream_bank`) from the same
         session seed, so the values a client sees are byte-identical
         either way; ``source_factory``/``failover`` are then ignored
         here (the engine's config sets both).
@@ -125,20 +123,15 @@ class SessionStream:
     ):
         self.session_id = session_id
         self.index = session_index(session_id)
-        self.seed = derive_seed(master_seed, self.index)
+        self.seed = session_seed(master_seed, session_id)
         self.lanes = lanes
         self.engine = engine
         if engine is not None:
             self.supervisor = None
             self.prng = None
         else:
-            factory = source_factory or SplitMix64Source
-            self.supervisor = stream_feed(
-                factory(self.seed), self.seed, failover
-            )
-            self.prng = AddressableExpanderPRNG(
-                num_threads=lanes, bit_source=self.supervisor
-            )
+            self.prng = stream_bank(self.seed, lanes, source_factory, failover)
+            self.supervisor = self.prng.source
             # The addressable bank draws lazily, so probe the feed here
             # and rewind: a fatal feed surfaces its structured error at
             # construction (never a half-built session), without moving
@@ -231,7 +224,7 @@ class SessionStream:
         """The next ``n`` words; the caller must hold :attr:`lock`.
 
         One code path for every op type: readahead buffer, engine or
-        in-process bank, sentinel tap, word accounting.
+        in-process bank, sentinel observation, word accounting.
         ``words_served`` is a *word* offset -- the only replay-safe
         coordinate once rejection samplers make words-per-variate
         data-dependent.

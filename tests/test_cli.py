@@ -114,6 +114,8 @@ class TestStats:
         assert {"feed", "transfer", "generate"} <= set(report["stages"])
         assert report["feed"]["words_consumed"] > 0
         assert report["prediction"]["total_ns"] > 0
+        assert report["sentinel"]["words_seen"] == 20_000
+        assert report["sentinel"]["words_sampled"] == 20_000
 
     def test_trace_file_written(self, capsys, tmp_path):
         out = tmp_path / "stats.jsonl"
@@ -121,6 +123,21 @@ class TestStats:
         records = [json.loads(line) for line in out.read_text().splitlines()]
         assert records[0]["command"] == "stats"
         assert any(r.get("name") == "plan" for r in records)
+
+
+class TestSentinel:
+    @pytest.mark.parametrize("profile,rc,verdict,line", [
+        (None, 0, "STAT_OK", "all checks clean"),
+        ("biased", 1, "STAT_BAD", "FLAGGED watch: STAT_BAD"),
+    ], ids=["clean", "biased"])
+    def test_watch(self, profile, rc, verdict, line, capsys):
+        argv = ["sentinel", "--check", "watch", "-n", "65536", "--json"]
+        assert main(argv + (["--profile", profile] if profile else [])) == rc
+        captured = capsys.readouterr()
+        watch = json.loads(captured.out)["watch"]
+        assert watch["verdict"] == verdict
+        assert watch["words_seen"] == 65536
+        assert line in captured.err
 
 
 class TestPlatform:

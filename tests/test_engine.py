@@ -9,21 +9,23 @@ import subprocess
 import sys
 import threading
 import time
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 
 from repro.bitsource.counter import SplitMix64Source
-from repro.core.parallel import AddressableExpanderPRNG
 from repro.core.streams import derive_seed
 from repro.engine import EngineConfig, ShardedEngine, serial_reference
 from repro.engine.sharded import (
     MAX_ROUND_WORDS,
+    MAX_WORKER_STREAMS,
     _effective_burst,
     _FrameReader,
-    _make_feed,
+    _serve_request,
 )
 from repro.resilience.errors import WorkerFailedError
+from repro.resilience.supervised import stream_bank
 from repro.serve.session import SessionStream
 
 CONFIG = EngineConfig(seed=3, shards=2, lanes=8, ring_slots=2)
@@ -34,6 +36,14 @@ def kill_shard(eng, i):
     os.kill(proc.pid, signal.SIGKILL)
     proc.join(timeout=5)
     assert not proc.is_alive()
+
+
+def killed_by_stream_13(feed_seed):
+    """``source_factory`` whose stream 13 SIGKILLs every worker that
+    builds it (module-level, so it pickles)."""
+    if feed_seed == 13:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return SplitMix64Source(feed_seed)
 
 
 def running(pid):
@@ -82,11 +92,7 @@ class TestBulkStream:
     def test_round_is_shard_major(self):
         """Round r of the stream = shard 0's round r, then shard 1's."""
         banks = [
-            AddressableExpanderPRNG(
-                num_threads=CONFIG.lanes,
-                bit_source=_make_feed(CONFIG, derive_seed(CONFIG.seed, i)),
-                policy=CONFIG.policy,
-            )
+            stream_bank(derive_seed(CONFIG.seed, i), CONFIG.lanes)
             for i in range(2)
         ]
         with ShardedEngine(CONFIG) as eng:
@@ -112,10 +118,7 @@ class TestNamedStreams:
     def test_matches_in_process_bank(self):
         """A stream fetch is byte-identical to the same bank run locally."""
         seed, lanes = 41, 16
-        local = AddressableExpanderPRNG(
-            num_threads=lanes, bit_source=_make_feed(CONFIG, seed),
-            policy=CONFIG.policy,
-        )
+        local = stream_bank(seed, lanes)
         with ShardedEngine(CONFIG) as eng:
             np.testing.assert_array_equal(
                 eng.fetch_stream(seed, lanes, 100, 0), local.generate(100)
@@ -124,10 +127,7 @@ class TestNamedStreams:
     def test_explicit_offset_fetch(self):
         """fetch_stream(offset=...) serves any slice, even backwards."""
         seed, lanes = 41, 16
-        local = AddressableExpanderPRNG(
-            num_threads=lanes, bit_source=_make_feed(CONFIG, seed),
-            policy=CONFIG.policy,
-        )
+        local = stream_bank(seed, lanes)
         ref = local.generate(200)
         with ShardedEngine(CONFIG) as eng:
             np.testing.assert_array_equal(
@@ -183,7 +183,11 @@ class TestServeIntegration:
         and retry budget an in-process session builds, so the two fail
         over (or fail) at the same word."""
         local = SessionStream("alice", master_seed=9, failover=failover)
-        feed = _make_feed(EngineConfig(failover=failover), local.seed)
+        streams = OrderedDict()
+        _serve_request(("fetch", [(local.seed, local.lanes, 0, 0)], None),
+                       streams, EngineConfig(failover=failover),
+                       lambda *reply: None)
+        feed = streams[(local.seed, local.lanes)].source
         assert [type(s) for s in feed.chain] == [
             type(s) for s in local.supervisor.chain
         ]
@@ -252,15 +256,29 @@ class TestFailure:
         cfg = EngineConfig(seed=3, shards=2, lanes=8, ring_slots=0,
                            fetch_timeout_s=3.0, auto_restart=True,
                            source_factory=factory)
-        local = AddressableExpanderPRNG(
-            num_threads=lanes, bit_source=_make_feed(CONFIG, seed),
-            policy=cfg.policy,
-        )
+        local = stream_bank(seed, lanes)
         with ShardedEngine(cfg) as eng:
             got = eng.fetch_stream(seed, lanes, 64, 0)
             assert eng.restarts == 1
         assert died.read_text() == "", "shared locks reached the worker"
         np.testing.assert_array_equal(got, local.generate(64))
+
+    @pytest.mark.timeout(30)
+    def test_work_that_kills_every_worker_is_sent_to_one_respawn_only(self):
+        """A read that kills each worker it reaches goes to one fresh
+        worker, then gets its WorkerFailedError; the shard is respawned
+        once more for later work, which it serves exactly."""
+        cfg = EngineConfig(shards=1, lanes=8, ring_slots=0,
+                           auto_restart=True,
+                           source_factory=killed_by_stream_13)
+        with ShardedEngine(cfg) as eng:
+            with pytest.raises(WorkerFailedError,
+                               match="died serving a fetch"):
+                eng.fetch_stream(13, 8, 8, 0)
+            assert eng.restarts == 2
+            np.testing.assert_array_equal(
+                eng.fetch_stream(14, 8, 8, 0), stream_bank(14, 8).generate(8)
+            )
 
     @pytest.mark.parametrize("auto_restart", [True, False])
     def test_late_reply_never_answers_a_later_request(self, auto_restart):
@@ -277,10 +295,7 @@ class TestFailure:
                            fetch_timeout_s=1.0, auto_restart=auto_restart)
 
         def ref(seed):
-            return AddressableExpanderPRNG(
-                num_threads=64, bit_source=_make_feed(cfg, seed),
-                policy=cfg.policy,
-            ).generate(100)
+            return stream_bank(seed, 64).generate(100)
 
         with ShardedEngine(cfg) as eng:
             pid = eng._procs[0].pid
@@ -375,10 +390,7 @@ class TestFailure:
         cfg = EngineConfig(seed=3, shards=2, lanes=8, ring_slots=0,
                            auto_restart=True, source_factory=factory)
         refs = [
-            AddressableExpanderPRNG(
-                num_threads=lanes, bit_source=_make_feed(CONFIG, s),
-                policy=cfg.policy,
-            ).generate(n)
+            stream_bank(s, lanes).generate(n)
             for s, n in ((slow, 16), (big, n_big))
         ]
         with ShardedEngine(cfg) as eng:
@@ -400,10 +412,7 @@ class TestFailure:
         cfg = EngineConfig(seed=3, shards=2, lanes=8, ring_slots=2,
                            auto_restart=True)
         seed, lanes = 40, 8  # shard 0 owns the stream
-        local = AddressableExpanderPRNG(
-            num_threads=lanes, bit_source=_make_feed(cfg, seed),
-            policy=cfg.policy,
-        )
+        local = stream_bank(seed, lanes)
         rounds = cfg.ring_slots * _effective_burst(cfg) + 1
         n_tail = rounds * cfg.shards * cfg.lanes
         ref = serial_reference(cfg, 16 + n_tail)
@@ -427,10 +436,7 @@ class TestFailure:
         cfg = EngineConfig(seed=3, shards=2, lanes=8, ring_slots=0,
                            fetch_timeout_s=3.0, auto_restart=True)
         seed, lanes = 40, 8  # seed % 2 == 0: shard 0 owns the stream
-        local = AddressableExpanderPRNG(
-            num_threads=lanes, bit_source=_make_feed(cfg, seed),
-            policy=cfg.policy,
-        )
+        local = stream_bank(seed, lanes)
         with ShardedEngine(cfg) as eng:
             head = eng.fetch_stream(seed, lanes, 30, 0)
             kill_shard(eng, 0)
@@ -506,16 +512,50 @@ class TestIntrospection:
         assert eng.shards_alive == [False, False]
 
 
+class TestWorkerStreams:
+    def test_stream_map_keeps_the_banks_used_last(self):
+        """A worker keeps at most MAX_WORKER_STREAMS banks and evicts the
+        least recently used; an evicted stream is rebuilt, and a read at
+        a later offset equals a fresh in-process bank."""
+        config = EngineConfig(shards=1, lanes=8, ring_slots=0)
+        streams = OrderedDict()
+        replies = []
+
+        def read(seed, lanes, offset, n):
+            _serve_request(("fetch", [(seed, lanes, offset, n)], None),
+                           streams, config,
+                           lambda *reply: replies.append(reply))
+
+        read(7, 8, 0, 8)
+        others = iter(range(100, 100 + 2 * MAX_WORKER_STREAMS))
+        for seed in others:
+            read(seed, 1, 0, 0)
+            if len(streams) == MAX_WORKER_STREAMS:
+                break
+        read(7, 8, 8, 8)  # now the most recently used
+        read(next(others), 1, 0, 0)
+        assert len(streams) == MAX_WORKER_STREAMS
+        assert (7, 8) in streams and (100, 1) not in streams
+        for _ in range(MAX_WORKER_STREAMS - 1):
+            read(next(others), 1, 0, 0)
+        assert len(streams) == MAX_WORKER_STREAMS
+        assert (7, 8) not in streams
+        read(7, 8, 4096, 8)
+        assert len(streams) == MAX_WORKER_STREAMS
+        tag, metas, words = replies[-1]
+        assert (tag, metas) == ("okv", [8])
+        ref = stream_bank(7, 8)
+        ref.seek(4096)
+        np.testing.assert_array_equal(words, ref.generate(8))
+
+
 class TestFetchSpans:
     def test_multi_span_round_matches_per_stream_references(self):
         """One fused fetch_spans call serves many streams across both
         shards, each byte-identical to its in-process bank."""
         streams = [(40, 8), (41, 16), (42, 8), (43, 4)]
         locals_ = {
-            (seed, lanes): AddressableExpanderPRNG(
-                num_threads=lanes, bit_source=_make_feed(CONFIG, seed),
-                policy=CONFIG.policy,
-            )
+            (seed, lanes): stream_bank(seed, lanes)
             for seed, lanes in streams
         }
         spans = [
@@ -536,10 +576,7 @@ class TestFetchSpans:
         reply: the cap bounds ring bursts only, never a fetch."""
         seed, lanes = 40, 64  # shard 0 owns the stream
         big = MAX_ROUND_WORDS
-        local = AddressableExpanderPRNG(
-            num_threads=lanes, bit_source=_make_feed(CONFIG, seed),
-            policy=CONFIG.policy,
-        )
+        local = stream_bank(seed, lanes)
         ref = local.generate(300 + big)
         with ShardedEngine(CONFIG) as eng:
             replies = []
@@ -568,10 +605,7 @@ class TestFetchSpans:
         reads them: 10 000 one-word spans pickle to about 120 KB, well
         over the 64 KiB pipe buffer, and still come back exact."""
         seed, lanes, n = 41, 8, 10_000
-        local = AddressableExpanderPRNG(
-            num_threads=lanes, bit_source=_make_feed(CONFIG, seed),
-            policy=CONFIG.policy,
-        )
+        local = stream_bank(seed, lanes)
         with ShardedEngine(CONFIG) as eng:
             got = eng.fetch_spans([(seed, lanes, k, 1) for k in range(n)])
         np.testing.assert_array_equal(np.concatenate(got), local.generate(n))
@@ -596,10 +630,7 @@ class TestFetchSpans:
         cfg = EngineConfig(seed=3, shards=2, lanes=8, ring_slots=0,
                            fetch_timeout_s=3.0, auto_restart=True)
         seed, lanes = 40, 8  # shard 0 owns the stream
-        local = AddressableExpanderPRNG(
-            num_threads=lanes, bit_source=_make_feed(cfg, seed),
-            policy=cfg.policy,
-        )
+        local = stream_bank(seed, lanes)
         ref = local.generate(100)
         with ShardedEngine(cfg) as eng:
             head = eng.fetch_spans([(seed, lanes, 0, 30)])[0]

@@ -13,9 +13,18 @@ streams as literals:
   the three neighbour-selection policies,
 
 checked against every kernel variant (fused/reference walk x
-blocked/reference feed).  Any future change to these values -- however
-self-consistent -- is a hard failure that must be an explicit,
-documented decision.
+blocked/reference feed); and the one-lane streams callers reach through
+other doors:
+
+* 8 ``get_next_rand()`` then 8 ``next_batch`` numbers of
+  ``ExpanderWalkPRNG`` under each policy, fed by ``GlibcRandom(0)`` and
+  by ``SplitMix64Source(5)``;
+* 4 numbers of each of ``spawn_streams(5, 2)``;
+* the first three ``api.rand()`` calls on a thread after
+  ``api.srand(99)``.
+
+Any future change to these values -- however self-consistent -- is a
+hard failure that must be an explicit, documented decision.
 
 ``mod`` and ``lazy`` share a golden vector by construction: on 3-bit
 chunks both policies fix 0..6 and map 7 to 0 (``7 % 7 == 0``), so they
@@ -28,8 +37,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.bitsource.counter import SplitMix64Source
 from repro.bitsource.glibc import GlibcRandom
+from repro.core import api
+from repro.core.generator import ExpanderWalkPRNG
 from repro.core.parallel import ParallelExpanderPRNG
+from repro.core.streams import spawn_streams
 
 GOLDEN_WORDS64_SEED1 = np.array([
     0xd7168acec9ec8f19, 0xcc6690e7d2c37147,
@@ -120,6 +133,74 @@ GOLDEN_POLICY_VECTORS = {
     "lazy": GOLDEN_LAZY,
 }
 
+#: ``ExpanderWalkPRNG`` per feed: 8 ``get_next_rand()`` values, then
+#: ``next_batch(8)``, then ``(bits_consumed, position)`` after all 16.
+GOLDEN_ONE_LANE_REJECT = {
+    "glibc-0": (
+        [0x443974810f5f5f3b, 0x9ec81fc1ee066dee, 0x51342114160eadaf,
+         0x76ea4c8576804488, 0x55e2c74a76d90043, 0x45aab46b1817d442,
+         0x6a4547f23e26531c, 0xc4d97f04e9a0b654],
+        [0x5e82613af7432721, 0x311dda6fb5ebacbe, 0x7105bbdc02297ae0,
+         0x9810e2c607262c69, 0x4b9bfa3a1997ca2c, 0xfd34d5a2ebc12a95,
+         0x9fbd5e761fd3ce16, 0x936c1af30eed4152],
+        (3708, (2473335539, 250429778)),
+    ),
+    "splitmix64-5": (
+        [0x722c1367b50778b7, 0x573d706e9242950a, 0x3aa7eb2f5ec3bd80,
+         0x7caac6692b1d2c01, 0xdb78c1f8f148f42e, 0x062ef126cc871108,
+         0xe209763c4dadd6f2, 0x9db060aa1962f22b],
+        [0x8ac63c1d16b7e43f, 0xa31c71d0817b6543, 0x2ce23eae2ed78cf4,
+         0xfdb1d95a2be0b49d, 0xb2ccea149d0863fb, 0x26136fef5dbaec2f,
+         0x60d5b20bdbfd82b7, 0xa7bee11fb4b66182],
+        (3711, (2814304543, 3031851394)),
+    ),
+}
+
+GOLDEN_ONE_LANE_MOD = {
+    "glibc-0": (
+        [0xba3e99aaeee0a05e, 0xa12aad43113ebc70, 0xbdf1f973ca2d192d,
+         0x638f0fcd244d56f6, 0x2307d94a95b8955a, 0xa9f0da46dc932cc3,
+         0x7d73793803cc8e24, 0x298e826b62350fa7],
+        [0x92ba8e1b019d83ca, 0x742eb230c91a9c51, 0x37d71eb9ea92beca,
+         0xf2f1030cf6296328, 0x2397e5eddadc93e3, 0x9dce5a5a479c992f,
+         0x7ecb8e9314c60479, 0x1a85d700f1577f51],
+        (3264, (444978944, 4049043281)),
+    ),
+    "splitmix64-5": (
+        [0xfeb2df6fb9a936e3, 0xe945c3c7c61bdcaa, 0x4708c2f54e4b1717,
+         0x5382ae8631ab941b, 0x472a8fc9e0faf26c, 0x6029c20057180c05,
+         0x9f3d1336cc871108, 0xe209763c3d62250e],
+        [0x322c4b9a02e816f8, 0x9d12a22d406273da, 0x6676bc790630da87,
+         0x760248c4d9cd9385, 0x23e2f893fde1d0f1, 0x45e95e5da6ba86a1,
+         0x4160f9b2d32877df, 0xbc9b260311940c51],
+        (3264, (3164284419, 294915153)),
+    ),
+}
+
+GOLDEN_ONE_LANE = {
+    "reject": GOLDEN_ONE_LANE_REJECT,
+    "mod": GOLDEN_ONE_LANE_MOD,
+    "lazy": GOLDEN_ONE_LANE_MOD,  # same 3-bit chunk map
+}
+
+ONE_LANE_FEEDS = {
+    "glibc-0": lambda: GlibcRandom(0),
+    "splitmix64-5": lambda: SplitMix64Source(5),
+}
+
+#: ``spawn_streams(5, 2)``: the first 4 numbers of each stream.
+GOLDEN_SPAWN_5 = [
+    [0x4eb7630b99072893, 0x824e204382010440, 0x6b380a85ce65541c,
+     0x4cfab9b71620697f],
+    [0x6227e28772d1234f, 0x03b466c00e554ca3, 0x4c693a0a0c9b3544,
+     0x5c66ebd4bdc7d1b9],
+]
+
+#: ``api.srand(99)`` then three ``api.rand()`` calls on one thread.
+GOLDEN_API_SRAND_99 = [
+    0x814ff2d4f2b9388b, 0x539473bf50c79dfb, 0x0b5ba29937953fb3,
+]
+
 #: First outputs of glibc's scalar rand() for srand(1) -- the published
 #: reference sequence the words64 stream is built from.
 GLIBC_RAND_SEED1 = [1804289383, 846930886, 1681692777, 1714636915, 1957747793]
@@ -159,3 +240,27 @@ class TestGoldenStreams:
             assert vec.size == 64
             assert np.count_nonzero(vec) == 64
         assert not np.array_equal(GOLDEN_REJECT, GOLDEN_MOD)
+
+
+class TestGoldenOneLane:
+    @pytest.mark.parametrize("feed", sorted(ONE_LANE_FEEDS))
+    @pytest.mark.parametrize("policy", sorted(GOLDEN_ONE_LANE))
+    def test_get_next_rand_then_next_batch(self, policy, feed):
+        rand, batch, (bits, position) = GOLDEN_ONE_LANE[policy][feed]
+        prng = ExpanderWalkPRNG(bit_source=ONE_LANE_FEEDS[feed](),
+                                policy=policy)
+        assert [prng.get_next_rand() for _ in range(8)] == rand
+        np.testing.assert_array_equal(
+            prng.next_batch(8), np.array(batch, dtype=np.uint64)
+        )
+        assert prng.numbers_generated == 16
+        assert prng.bits_consumed == bits
+        assert prng.position == position
+
+    def test_spawn_streams(self):
+        for prng, words in zip(spawn_streams(5, 2), GOLDEN_SPAWN_5):
+            assert [prng.get_next_rand() for _ in range(4)] == words
+
+    def test_api_rand(self):
+        api.srand(99)
+        assert [api.rand() for _ in range(3)] == GOLDEN_API_SRAND_99

@@ -1,4 +1,4 @@
-"""Tests for the sentinel's online detectors, verdict engine, and tap."""
+"""Tests for the sentinel's online detectors and verdict engine."""
 
 import subprocess
 import sys
@@ -13,11 +13,6 @@ from repro.obs.sentinel import (
     SentinelConfig,
     StreamSentinel,
     Verdict,
-    get_tap,
-    install_tap,
-    maybe_observe,
-    tapped,
-    uninstall_tap,
 )
 from repro.obs.sentinel import online
 
@@ -149,6 +144,21 @@ class TestPValuesWithoutScipyStats:
         assert small >= 40
 
 
+def test_generators_import_no_sentinel_module(repro_env):
+    """Generators know nothing of the sentinel: whoever holds the words
+    calls ``observe``."""
+    script = (
+        "import sys\n"
+        "import repro.core\n"
+        "print(sorted(m for m in sys.modules"
+        " if m.startswith('repro.obs.sentinel')))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", script], env=repro_env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
 class TestSentinelConfig:
     def test_defaults_valid(self):
         cfg = SentinelConfig()
@@ -275,54 +285,3 @@ class TestStreamSentinel:
         )
         assert "p_monobit" in summary
 
-
-class TestTap:
-    def test_default_is_uninstalled_and_free(self):
-        uninstall_tap()
-        assert get_tap() is None
-        maybe_observe(np.zeros(4, dtype=np.uint64))  # no-op, no error
-
-    def test_install_and_uninstall(self):
-        s = StreamSentinel(SentinelConfig(window_words=64, sample_every=1))
-        install_tap(s)
-        try:
-            assert get_tap() is s
-            maybe_observe(_good_words(32))
-            assert s.state()["words_seen"] == 32
-        finally:
-            uninstall_tap()
-        assert get_tap() is None
-
-    def test_tapped_restores_previous(self):
-        outer = StreamSentinel(SentinelConfig(window_words=64))
-        inner = StreamSentinel(SentinelConfig(window_words=64))
-        install_tap(outer)
-        try:
-            with tapped(inner) as active:
-                assert active is inner and get_tap() is inner
-            assert get_tap() is outer
-        finally:
-            uninstall_tap()
-
-    def test_generate_into_feeds_the_tap(self):
-        from repro.core.parallel import ParallelExpanderPRNG
-
-        s = StreamSentinel(SentinelConfig(window_words=64, sample_every=1))
-        prng = ParallelExpanderPRNG(num_threads=32, seed=3)
-        with tapped(s):
-            prng.generate(100)
-        assert s.state()["words_seen"] == 100
-
-    def test_tap_does_not_perturb_the_stream(self):
-        """The non-consuming guarantee: values with a tap installed are
-        bit-identical to values without one."""
-        from repro.core.parallel import ParallelExpanderPRNG
-
-        plain = ParallelExpanderPRNG(num_threads=64, seed=12).generate(500)
-        s = StreamSentinel(SentinelConfig(window_words=64, sample_every=1))
-        with tapped(s):
-            watched = ParallelExpanderPRNG(
-                num_threads=64, seed=12
-            ).generate(500)
-        np.testing.assert_array_equal(plain, watched)
-        assert s.state()["words_seen"] >= 500

@@ -19,7 +19,10 @@ passed.  These literals were recorded once and must never change:
 * words of the engine's bulk stream at 2 and 3 shards, fed by glibc as
   ``repro generate --shards`` feeds it (seed 7, 4096 lanes in all):
   the first words, the words around the shard 0/1 seam, and the first
-  words of round 1.
+  words of round 1;
+* one ``VARIATE`` reply per served distribution on session ``alice``:
+  the values' bit patterns and the word offset the reply returns, from
+  a server that generates in process and from one on a 2-shard engine.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import pytest
 from repro.bitsource.glibc import GlibcRandom
 from repro.core.streams import derive_seed
 from repro.engine import EngineConfig, ShardedEngine, serial_reference
+from repro.serve import ServeClient, ServeConfig, serve_background
 from repro.serve.session import SessionStream, session_index, session_seed
 
 MASTER_SEED = 99
@@ -184,6 +188,35 @@ BULK = {
     },
 }
 
+#: The first ``VARIATE`` reply of 6 values on a fresh ``alice`` session:
+#: ``dist -> (params, value bit patterns, word offset after the op)``.
+VARIATES = {
+    "uniform01": (
+        {},
+        [0x3fed0d7a13bb5c46, 0x3fd79b5d122d8ea4, 0x3fd851af668c5460,
+         0x3fcc05a38a195150, 0x3feefed9bdaded5e, 0x3fe51970b9072931],
+        6,
+    ),
+    "normal": (
+        {"mean": 0.0, "std": 1.0},
+        [0x3ffdb3239ba83e7f, 0xbfdfc9c607313eec, 0x3ff0a33edb6136e9,
+         0x3ff76c38af053acc, 0x3fa7a9de38544644, 0x3fcaa33b0e31551a],
+        12,
+    ),
+    "exponential": (
+        {"rate": 1.5},
+        [0x3ff9702b2ff50943, 0x3fd3a2df19fb8830, 0x3fd4652c566ace2d,
+         0x3fc5158d928a786d, 0x400275c4a0b5ac0c, 0x3fe6f9658b409acc],
+        6,
+    ),
+    "integers": (
+        {"lo": -5, "hi": 100},
+        [0x000000000000005a, 0x0000000000000021, 0x0000000000000022,
+         0x0000000000000011, 0x0000000000000060, 0x0000000000000040],
+        6,
+    ),
+}
+
 
 def _words(values) -> np.ndarray:
     return np.array(values, dtype=np.uint64)
@@ -234,3 +267,15 @@ def test_bulk_stream(shards):
     np.testing.assert_array_equal(
         stream[index], _words([BULK[shards][i] for i in index])
     )
+
+
+@pytest.mark.parametrize("engine_shards", [0, 2])
+@pytest.mark.parametrize("dist", sorted(VARIATES))
+def test_variates_reply(dist, engine_shards):
+    params, bits, offset = VARIATES[dist]
+    config = ServeConfig(master_seed=MASTER_SEED, engine_shards=engine_shards)
+    with serve_background(config) as handle:
+        with ServeClient(handle.host, handle.port, session="alice") as client:
+            values = client.fetch_variates(dist, 6, **params)
+            assert client.words_received == offset
+    np.testing.assert_array_equal(values.view(np.uint64), _words(bits))
